@@ -133,19 +133,11 @@ int main(int argc, char** argv) {
     const std::vector<MixEntry> mix(mixes.begin(),
                                     mixes.begin() +
                                         static_cast<std::ptrdiff_t>(subset));
-    const std::string base_label = subset == 1 ? "knn-only" : "knn+kde+rs";
-    // Each mix runs twice: the recursive per-request baseline (one
-    // run-to-completion descent per request, the pre-cursor serving path)
-    // and the interleaved resumable-descent mode, so BENCH_serve.json
-    // carries the latency-hiding delta side by side.
-    for (const bool interleave : {false, true}) {
-    const std::string label =
-        base_label + (interleave ? "-interleaved" : "");
+    const std::string label = subset == 1 ? "knn-only" : "knn+kde+rs";
     serve::ServiceOptions options;
     options.workers = 4;
     options.queue_capacity = 4096;
     options.block_on_full = true;
-    options.interleave = interleave;
     serve::PortalService service(options);
     service.publish(reference);
 
@@ -185,7 +177,6 @@ int main(int argc, char** argv) {
     json.add("serve/" + label, "plan_cache_hit_rate", hit_rate, "ratio");
     json.add("serve/" + label, "mean_batch", run.mean_batch, "requests");
     service.stop();
-    }
   }
 
   // --- live ingestion: sustained writes against the delta tree while a

@@ -492,7 +492,6 @@ AnalysisInputs make_analysis_inputs(const ProblemPlan& plan,
 KernelFacts compute_kernel_facts(const ProblemPlan& plan,
                                  const AnalysisInputs& inputs) {
   KernelFacts f;
-  f.computed = true;
   f.dist_lo = inputs.dist_lo;
   f.dist_hi = inputs.dist_hi;
 
@@ -548,9 +547,9 @@ KernelFacts compute_kernel_facts(const ProblemPlan& plan,
   f.symmetric = kernel.external == nullptr && !kernel.is_gravity &&
                 (kernel.normalized || ir_kernel_symmetric(kernel.kernel_ir));
 
-  // Prune/approximation legality: defined to coincide bit-for-bit with the
-  // legacy rule-set conditions (see serve/engine.cpp and executor.cpp).
-  // The structural sweep above refines confidence, never these booleans.
+  // Prune/approximation legality, the one source every engine reads
+  // (pattern.cpp, executor.cpp, serve/engine.cpp). The structural sweep
+  // above refines confidence, never these booleans.
   f.reduction_prune_legal = plan.category == ProblemCategory::Pruning &&
                             kernel.normalized &&
                             kernel.shape != EnvelopeShape::Indicator &&

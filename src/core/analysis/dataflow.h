@@ -4,10 +4,10 @@
 // facts: a value interval (given the datasets' bounding boxes), a NaN
 // may-flag, and monotonicity in the Dist atom. compute_kernel_facts()
 // aggregates the sweep into the KernelFacts struct cached on the compiled
-// plan; the lint pass (analysis/lint.h) and the engines' analysis-gated
-// prune legality consume those facts. PENCIL's thesis applied to Portal: the
-// IR is restricted enough that these properties are provable once,
-// statically, for every backend.
+// plan; the lint pass (analysis/lint.h) and the engines' prune and
+// approximation legality consume those facts. PENCIL's thesis applied to
+// Portal: the IR is restricted enough that these properties are provable
+// once, statically, for every backend.
 #pragma once
 
 #include <limits>
@@ -70,11 +70,9 @@ AnalysisInputs make_analysis_inputs(const ProblemPlan& plan,
 ExprFacts analyze_expr(const IrExprPtr& root, const AnalysisInputs& inputs);
 
 /// Aggregate the sweep over the plan's kernel/envelope into the KernelFacts
-/// cached on the plan. The prune-legality booleans are defined to coincide
-/// exactly with the legacy hard-coded rule-set conditions; the structural
-/// sweep only upgrades *confidence* (Proven vs Empirical), never flips a
-/// legality bit -- that is what keeps analysis-gated selection bitwise
-/// identical to shape matching (ISSUE 6 acceptance).
+/// cached on the plan. The prune-legality booleans derive from the plan's
+/// category and envelope classification; the structural sweep only
+/// upgrades *confidence* (Proven vs Empirical), never flips a legality bit.
 KernelFacts compute_kernel_facts(const ProblemPlan& plan,
                                  const AnalysisInputs& inputs);
 

@@ -34,13 +34,9 @@ enum class FactConfidence {
   Unknown,
 };
 
-/// Per-plan analysis results. `computed` is false on plans that never went
-/// through the analysis sweep (e.g. deserialized or hand-built plans); all
-/// consumers fall back to the legacy shape-matching rules in that case, so
-/// a facts-free plan behaves exactly as before this framework existed.
+/// Per-plan analysis results, computed once per compile
+/// (compute_kernel_facts) and read by every engine.
 struct KernelFacts {
-  bool computed = false;
-
   // Envelope classification mirrored as booleans so engines stop comparing
   // EnvelopeShape enumerators directly.
   bool envelope_identity = false;
@@ -75,10 +71,8 @@ struct KernelFacts {
   bool accum_commutative = false;
   bool accum_associative = false;
 
-  // Prune/approximation legality consumed by the engines when
-  // ProblemPlan::analysis_gated is set. Defined to coincide exactly with
-  // the legacy hard-coded rule-set conditions (the differential fuzz wall
-  // proves gated selection is bitwise identical to shape matching).
+  // Prune/approximation legality: the only source the engines consult
+  // (pattern recognition, the generic executor, the serve rule sets).
   bool reduction_prune_legal = false; // comparative op + usable envelope
   bool indicator_prune_legal = false; // normalized indicator interval
   bool approx_legal = false;          // tau-approximation may fire

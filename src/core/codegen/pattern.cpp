@@ -62,17 +62,10 @@ std::string recognize_pattern(const ProblemPlan& plan, const PortalConfig& confi
 
   const bool euclid_family = kernel.metric == MetricKind::Euclidean ||
                              kernel.metric == MetricKind::SqEuclidean;
-  // Envelope classification consulted by recognition: analysis-gated plans
-  // answer from the proven KernelFacts, facts-free plans from the legacy
-  // shape match. The facts are defined to coincide with the shape
-  // comparisons, so recognition is bitwise unchanged (gating fuzz wall).
-  const bool use_facts = plan.analysis_gated && plan.facts.computed;
-  const bool identity_env = use_facts
-                                ? plan.facts.envelope_identity
-                                : kernel.shape == EnvelopeShape::Identity;
-  const bool indicator_env = use_facts
-                                 ? plan.facts.envelope_indicator
-                                 : kernel.shape == EnvelopeShape::Indicator;
+  // Envelope classification consulted by recognition, read from the plan's
+  // KernelFacts (the one legality source).
+  const bool identity_env = plan.facts.envelope_identity;
+  const bool indicator_env = plan.facts.envelope_indicator;
 
   if (outer.op == PortalOp::FORALL && is_min_family(inner.op) &&
       identity_env && kernel.metric != MetricKind::Mahalanobis)

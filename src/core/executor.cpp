@@ -133,17 +133,10 @@ class GenericRules {
         traits_(state.traits),
         metric_(plan.kernel.metric),
         maha_(plan.kernel.maha.get()),
-        // Envelope classification consulted by the prune rules: with
-        // analysis_gated the proven KernelFacts answer, otherwise (or for
-        // hand-built plans without facts) the legacy shape match. The facts
-        // are defined to coincide with the shape comparisons, so the two
-        // oracles always agree -- pinned bitwise by the gating fuzz wall.
-        identity_env_(plan.analysis_gated && plan.facts.computed
-                          ? plan.facts.envelope_identity
-                          : plan.kernel.shape == EnvelopeShape::Identity),
-        indicator_env_(plan.analysis_gated && plan.facts.computed
-                           ? plan.facts.envelope_indicator
-                           : plan.kernel.shape == EnvelopeShape::Indicator),
+        // Envelope classification consulted by the prune rules, read from
+        // the plan's KernelFacts (the one legality source).
+        identity_env_(plan.facts.envelope_identity),
+        indicator_env_(plan.facts.envelope_indicator),
         tau_(config.tau),
         // Exact comparative reductions over L2 select in squared space (one
         // sqrt per surviving slot at finish() instead of one per candidate)
@@ -716,7 +709,7 @@ ExecutionResult execute_bruteforce(const ProblemPlan& plan,
   const InnerTraits t = state.traits;
   const bool normalized = plan.kernel.normalized;
   const MahalanobisContext* maha = plan.kernel.maha.get();
-  const bool identity_env = plan.kernel.shape == EnvelopeShape::Identity;
+  const bool identity_env = plan.facts.envelope_identity;
   const std::vector<index_t>* labels = config.exclude_same_label;
 
   PORTAL_OBS_SCOPE(brute_scope, "executor/bruteforce");

@@ -127,12 +127,6 @@ struct PortalConfig {
                          // compare (Sec. IV: "generates the code for the
                          // brute-force algorithm ... used for correctness")
   real_t validate_tolerance = 1e-6;
-  /// Engines consult the analysis framework's proven KernelFacts for prune
-  /// legality instead of re-matching envelope shapes (ISSUE 6). The facts
-  /// are defined to coincide with the legacy conditions, so flipping this
-  /// changes *which oracle answers*, never the answer -- the differential
-  /// fuzz wall (test_codegen_fuzz) pins that bitwise.
-  bool analysis_gated_prune = true;
   /// True when the user supplied tau explicitly (CLI --tau, script
   /// `set tau=`, or test setup) rather than inheriting the default; lets
   /// lint warn when tau is handed to a problem family that ignores it
@@ -179,12 +173,9 @@ struct ProblemPlan {
   std::uint64_t fingerprint = 0;
   /// Kernel properties proven by the analysis framework (core/analysis),
   /// cached next to the fingerprint so every consumer -- pattern engine,
-  /// generic executor, serve rule sets, lint -- reads one oracle.
-  /// facts.computed == false (hand-built plans) always falls back to the
-  /// legacy shape-matching rules.
+  /// generic executor, serve rule sets, lint -- reads one oracle. Filled
+  /// by PortalExpr::compile_if_needed() alongside the fingerprint.
   KernelFacts facts;
-  /// Snapshot of PortalConfig::analysis_gated_prune at compile time.
-  bool analysis_gated = true;
 };
 
 } // namespace portal

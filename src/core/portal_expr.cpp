@@ -169,9 +169,7 @@ void PortalExpr::compile_if_needed() {
 
   // Analysis facts + lint over the *final* kernel/envelope (post-pass, post
   // re-classification), cached on the plan next to the fingerprint so every
-  // backend reads one legality oracle. The facts mirror the legacy rule-set
-  // conditions exactly; analysis_gated only switches which oracle answers.
-  plan_.analysis_gated = config_.analysis_gated_prune;
+  // backend reads one legality oracle.
   {
     const AnalysisInputs inputs = make_analysis_inputs(plan_, config_);
     plan_.facts = compute_kernel_facts(plan_, inputs);

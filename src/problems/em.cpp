@@ -298,7 +298,7 @@ void validate(const Dataset& data, const EmOptions& options) {
 real_t em_estep_exact(const Dataset& data, const std::vector<real_t>& weights,
                       const std::vector<real_t>& means,
                       const std::vector<std::vector<real_t>>& covs, real_t jitter,
-                      std::vector<real_t>* resp) {
+                      std::vector<real_t>* resp, bool parallel) {
   (void)jitter;
   const index_t n = data.size();
   const index_t d = data.dim();
@@ -317,7 +317,7 @@ real_t em_estep_exact(const Dataset& data, const std::vector<real_t>& weights,
   // OpenMP reduction combines per-thread partials in arrival order, so the
   // total would change in its last bits from run to run.
   std::vector<real_t> point_loglik(static_cast<std::size_t>(n));
-#pragma omp parallel
+#pragma omp parallel if (parallel)
   {
     std::vector<real_t> scratch(2 * d), log_terms(K), x(d);
 #pragma omp for schedule(static)
@@ -341,7 +341,8 @@ EmResult em_bruteforce(const Dataset& data, const EmOptions& options) {
   real_t previous = -std::numeric_limits<real_t>::max();
   for (index_t iter = 0; iter < options.max_iters; ++iter) {
     const real_t loglik = em_estep_exact(data, state.weights, state.means,
-                                         state.covs, options.jitter, &state.resp);
+                                         state.covs, options.jitter, &state.resp,
+                                         options.parallel);
     state.loglik_history.push_back(loglik);
     state.log_likelihood = loglik;
     state.iters = iter + 1;

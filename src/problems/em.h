@@ -55,10 +55,12 @@ EmResult em_expert(const Dataset& data, const EmOptions& options);
 
 /// One exact E-step given fixed parameters; returns per-point loglik sum,
 /// added in point order so it is bitwise the same at every thread count.
+/// `parallel` splits the points across OpenMP threads (EmOptions::parallel).
 /// Exposed for the Portal executor and for tests.
 real_t em_estep_exact(const Dataset& data, const std::vector<real_t>& weights,
                       const std::vector<real_t>& means,
                       const std::vector<std::vector<real_t>>& covs,
-                      real_t jitter, std::vector<real_t>* resp);
+                      real_t jitter, std::vector<real_t>* resp,
+                      bool parallel);
 
 } // namespace portal

@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <deque>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
 
 #include "kernels/batch.h"
 #include "problems/common.h"
-#include "traversal/cursor.h"
 #include "traversal/singletree.h"
 
 namespace portal::serve {
@@ -68,15 +66,6 @@ index_t alive_count(const Ctx& ctx, const KdNode& node) {
   return alive;
 }
 
-/// Analysis-gated legality lookup: plans carrying computed KernelFacts
-/// answer from the proven facts; hand-built plans (facts.computed == false)
-/// or gating turned off fall back to the legacy shape-derived condition.
-/// The facts are defined to coincide with the legacy expressions, so both
-/// oracles always agree -- the gating fuzz wall pins this bitwise.
-bool gated_fact(const ProblemPlan& plan, bool fact, bool legacy) {
-  return plan.analysis_gated && plan.facts.computed ? fact : legacy;
-}
-
 Ctx make_ctx(const CompiledPlan& plan, const KdTree& tree, const real_t* point,
              bool batch, Workspace& ws) {
   Ctx ctx;
@@ -85,9 +74,7 @@ Ctx make_ctx(const CompiledPlan& plan, const KdTree& tree, const real_t* point,
   ctx.qpt = point;
   ctx.maha = plan.plan.kernel.maha.get();
   ctx.metric = plan.plan.kernel.metric;
-  ctx.identity_env =
-      gated_fact(plan.plan, plan.plan.facts.envelope_identity,
-                 plan.plan.kernel.shape == EnvelopeShape::Identity);
+  ctx.identity_env = plan.plan.facts.envelope_identity;
   ctx.normalized = plan.plan.kernel.normalized;
   ctx.batch = batch;
   if (batch) {
@@ -286,17 +273,6 @@ real_t center_dist(const Ctx& ctx, const KdNode& node) {
   return ctx.metric == MetricKind::Euclidean ? std::sqrt(d) : d;
 }
 
-/// Suspension-point prefetch (traversal/cursor.h hook): the cursor already
-/// requested the node struct itself; when the node it will pop next is a
-/// leaf, also request the head of the SoA tile its base case will stream, so
-/// the lines arrive while the worker resumes a sibling query's descent.
-void prefetch_leaf_tile(const Ctx& ctx, index_t n) {
-  if (!ctx.batch) return;
-  const KdNode& node = ctx.tree->node(n);
-  if (!node.is_leaf()) return;
-  PORTAL_PREFETCH_READ(ctx.tree->mirror().tile(node.begin, 1).lane(0));
-}
-
 /// Comparative reductions (k-NN family): scored nearest-first descent with
 /// envelope-bound pruning against the current k-th best.
 class ReductionRules {
@@ -307,15 +283,9 @@ class ReductionRules {
         list_(ctx.ws->knn_dists.data(), ctx.ws->knn_ids.data(),
               ctx.plan->slots) {
     list_.reset();
-    const KernelInfo& kernel = ctx.plan->plan.kernel;
     // Indicator + comparative op is degenerate (zeros are candidates too, so
     // distance cuts are unsound) -- evaluate exhaustively, like the executor.
-    prunable_ = gated_fact(ctx.plan->plan,
-                           ctx.plan->plan.facts.reduction_prune_legal,
-                           ctx.plan->plan.category == ProblemCategory::Pruning &&
-                               kernel.normalized &&
-                               kernel.shape != EnvelopeShape::Indicator &&
-                               kernel.shape != EnvelopeShape::Opaque);
+    prunable_ = ctx.plan->plan.facts.reduction_prune_legal;
   }
 
   bool prune_or_take(index_t n) {
@@ -337,8 +307,6 @@ class ReductionRules {
   }
 
   real_t score(index_t n) { return node_min(ctx_, ctx_.tree->node(n)); }
-
-  void prefetch(index_t n) const { prefetch_leaf_tile(ctx_, n); }
 
   void base_case(index_t n) {
     const KdNode& node = ctx_.tree->node(n);
@@ -377,15 +345,10 @@ class SumRules {
  public:
   SumRules(const Ctx& ctx, real_t tau) : ctx_(ctx), tau_(tau) {
     const KernelInfo& kernel = ctx.plan->plan.kernel;
-    indicator_ = gated_fact(
-        ctx.plan->plan, ctx.plan->plan.facts.indicator_prune_legal,
-        kernel.normalized && kernel.shape == EnvelopeShape::Indicator);
+    indicator_ = ctx.plan->plan.facts.indicator_prune_legal;
     lo_ = kernel.indicator_lo;
     hi_ = kernel.indicator_hi;
-    approx_ = gated_fact(ctx.plan->plan, ctx.plan->plan.facts.approx_legal,
-                         ctx.plan->plan.category ==
-                                 ProblemCategory::Approximation &&
-                             kernel.normalized);
+    approx_ = ctx.plan->plan.facts.approx_legal;
   }
 
   bool prune_or_take(index_t n) {
@@ -419,8 +382,6 @@ class SumRules {
               (ctx_.identity_env ? center : envelope(ctx_, center));
     return true;
   }
-
-  void prefetch(index_t n) const { prefetch_leaf_tile(ctx_, n); }
 
   void base_case(index_t n) {
     const KdNode& node = ctx_.tree->node(n);
@@ -460,9 +421,7 @@ class UnionRules {
              std::vector<real_t>* values)
       : ctx_(ctx), want_values_(want_values), ids_(ids), values_(values) {
     const KernelInfo& kernel = ctx.plan->plan.kernel;
-    indicator_ = gated_fact(
-        ctx.plan->plan, ctx.plan->plan.facts.indicator_prune_legal,
-        kernel.normalized && kernel.shape == EnvelopeShape::Indicator);
+    indicator_ = ctx.plan->plan.facts.indicator_prune_legal;
     lo_ = kernel.indicator_lo;
     hi_ = kernel.indicator_hi;
   }
@@ -483,8 +442,6 @@ class UnionRules {
     }
     return false;
   }
-
-  void prefetch(index_t n) const { prefetch_leaf_tile(ctx_, n); }
 
   void base_case(index_t n) {
     const KdNode& node = ctx_.tree->node(n);
@@ -576,59 +533,6 @@ void finalize_union(const KdTree& tree, bool want_values,
     out->values.insert(out->values.end(), delta_values->begin(),
                        delta_values->end());
   }
-}
-
-/// Round-robin interleaving core: keep up to `interleave_width` descents in
-/// flight and give each `resume_steps` node visits per turn, admitting the
-/// next query of the batch into a slot as soon as its occupant finishes (the
-/// redwood-rt ExecutorManager shape). `start(q)` constructs query q's rule
-/// set (emplacing it into `rules`, so rules[q] stays addressable);
-/// `finish(q, stats)` finalizes its result once the descent completes.
-/// Scheduling never reorders any single query's visits, so each query is
-/// bitwise-identical to its standalone descent.
-template <typename Rules, typename Start, typename Finish>
-void interleave_descents(const KdTree& tree, index_t count,
-                         const EngineOptions& options, std::deque<Rules>& rules,
-                         Start&& start, Finish&& finish) {
-  const index_t width = std::max<index_t>(1, options.interleave_width);
-  const index_t steps = std::max<index_t>(1, options.resume_steps);
-
-  // Cursors are neither copyable nor movable (the frontier pins its inline
-  // buffer); a deque gives them stable addresses across admissions.
-  std::deque<TraversalCursor<KdTree, Rules>> cursors;
-  std::vector<index_t> active; // in-flight cursor (== query) indices
-  index_t next = 0;
-  const auto admit = [&] {
-    start(next); // emplaces rules[next]
-    cursors.emplace_back(tree, rules.back());
-    ++next;
-  };
-  while (next < count && next < width) {
-    admit();
-    active.push_back(next - 1);
-  }
-
-  std::uint64_t rounds = 0;
-  while (!active.empty()) {
-    ++rounds;
-    for (std::size_t s = 0; s < active.size();) {
-      const index_t c = active[s];
-      if (cursors[static_cast<std::size_t>(c)].resume(steps) !=
-          CursorState::Done) {
-        ++s;
-        continue;
-      }
-      finish(c, cursors[static_cast<std::size_t>(c)].stats());
-      if (next < count) {
-        admit();
-        active[s] = next - 1; // reuse the freed slot, keep round-robin order
-        ++s;
-      } else {
-        active.erase(active.begin() + static_cast<std::ptrdiff_t>(s));
-      }
-    }
-  }
-  PORTAL_OBS_COUNT("serve/interleave/rounds", rounds);
 }
 
 const KdTree& serving_tree(const CompiledPlan& plan,
@@ -742,93 +646,6 @@ QueryResult run_query_impl(const CompiledPlan& plan,
   return result;
 }
 
-void run_query_batch_impl(const CompiledPlan& plan,
-                          const TreeSnapshot& snapshot, const LiveView* view,
-                          const real_t* const* points, index_t count,
-                          const EngineOptions& options, BatchWorkspace& ws,
-                          QueryResult* results) {
-  if (count <= 0) return;
-  if (routes_to_graph(plan, snapshot, options)) {
-    // Graph searches are not cursor descents, so there is nothing to
-    // interleave: run the batch sequentially through one workspace. Each
-    // answer equals the single-query path bit for bit.
-    if (ws.per_query.empty()) ws.per_query.resize(1);
-    for (index_t q = 0; q < count; ++q)
-      results[q] = run_query_graph(plan, snapshot, view, points[q], options,
-                                   ws.per_query.front());
-    return;
-  }
-  const KdTree& tree = serving_tree(plan, snapshot);
-  // Grow the per-query workspace pool up front: rule sets capture Workspace
-  // pointers, so no resize may happen once the first descent starts.
-  if (ws.per_query.size() < static_cast<std::size_t>(count))
-    ws.per_query.resize(static_cast<std::size_t>(count));
-  const bool batch = options.batch_base_cases && !tree.mirror().empty();
-  const index_t leaf_cap = tree.stats().max_leaf_count;
-  PORTAL_OBS_COUNT("serve/interleave/batches", 1);
-  PORTAL_OBS_COUNT("serve/interleave/queries", static_cast<std::uint64_t>(count));
-
-  const auto start_ctx = [&](index_t q) {
-    Workspace& w = ws.per_query[static_cast<std::size_t>(q)];
-    prepare_workspace(plan, tree, points[q], leaf_cap, w);
-    Ctx ctx = make_ctx(plan, tree, points[q], batch, w);
-    if (view) attach_view(ctx, *view);
-    return ctx;
-  };
-
-  if (plan.is_reduction) {
-    std::deque<ReductionRules> rules;
-    interleave_descents<ReductionRules>(
-        tree, count, options, rules,
-        [&](index_t q) { rules.emplace_back(start_ctx(q)); },
-        [&](index_t q, const TraversalStats& s) {
-          results[q].stats = s;
-          ReductionRules& r = rules[static_cast<std::size_t>(q)];
-          if (view && view->delta) r.drain_delta();
-          finalize_reduction(plan, tree,
-                             ws.per_query[static_cast<std::size_t>(q)],
-                             &results[q]);
-        });
-  } else if (plan.is_sum) {
-    std::deque<SumRules> rules;
-    interleave_descents<SumRules>(
-        tree, count, options, rules,
-        [&](index_t q) { rules.emplace_back(start_ctx(q), options.tau); },
-        [&](index_t q, const TraversalStats& s) {
-          results[q].stats = s;
-          SumRules& r = rules[static_cast<std::size_t>(q)];
-          if (view && view->delta) r.drain_delta();
-          results[q].values = {r.total()};
-        });
-  } else {
-    std::vector<std::vector<index_t>> ids(static_cast<std::size_t>(count));
-    std::vector<std::vector<real_t>> values(static_cast<std::size_t>(count));
-    std::deque<UnionRules> rules;
-    interleave_descents<UnionRules>(
-        tree, count, options, rules,
-        [&](index_t q) {
-          rules.emplace_back(start_ctx(q), plan.is_union,
-                             &ids[static_cast<std::size_t>(q)],
-                             &values[static_cast<std::size_t>(q)]);
-        },
-        [&](index_t q, const TraversalStats& s) {
-          results[q].stats = s;
-          std::vector<index_t> delta_ids;
-          std::vector<real_t> delta_values;
-          if (view && view->delta) {
-            Ctx ctx = make_ctx(plan, tree, points[q], batch,
-                               ws.per_query[static_cast<std::size_t>(q)]);
-            attach_view(ctx, *view);
-            drain_delta_union(ctx, plan.is_union, &delta_ids, &delta_values);
-          }
-          finalize_union(tree, plan.is_union, &ids[static_cast<std::size_t>(q)],
-                         &values[static_cast<std::size_t>(q)], &results[q],
-                         view && view->delta ? &delta_ids : nullptr,
-                         view && view->delta ? &delta_values : nullptr);
-        });
-  }
-}
-
 QueryResult run_query_bruteforce_impl(const CompiledPlan& plan,
                                       const TreeSnapshot& snapshot,
                                       const LiveView* view,
@@ -905,10 +722,7 @@ bool routes_to_graph(const CompiledPlan& plan, const TreeSnapshot& snapshot,
   if (!plan.is_reduction || plan.sense <= 0) return false;
   const KernelInfo& kernel = plan.plan.kernel;
   if (!kernel.normalized) return false;
-  const bool identity =
-      gated_fact(plan.plan, plan.plan.facts.envelope_identity,
-                 kernel.shape == EnvelopeShape::Identity);
-  if (!identity) return false;
+  if (!plan.plan.facts.envelope_identity) return false;
   // The graph's internal metric is squared Euclidean; Euclidean shares its
   // ordering (sqrt at the edge, like the exact path).
   return kernel.metric == MetricKind::SqEuclidean ||
@@ -925,22 +739,6 @@ QueryResult run_query(const CompiledPlan& plan, const LiveView& view,
                       const real_t* point, const EngineOptions& options,
                       Workspace& ws) {
   return run_query_impl(plan, view_snapshot(view), &view, point, options, ws);
-}
-
-void run_query_batch(const CompiledPlan& plan, const TreeSnapshot& snapshot,
-                     const real_t* const* points, index_t count,
-                     const EngineOptions& options, BatchWorkspace& ws,
-                     QueryResult* results) {
-  run_query_batch_impl(plan, snapshot, nullptr, points, count, options, ws,
-                       results);
-}
-
-void run_query_batch(const CompiledPlan& plan, const LiveView& view,
-                     const real_t* const* points, index_t count,
-                     const EngineOptions& options, BatchWorkspace& ws,
-                     QueryResult* results) {
-  run_query_batch_impl(plan, view_snapshot(view), &view, points, count,
-                       options, ws, results);
 }
 
 QueryResult run_query_bruteforce(const CompiledPlan& plan,

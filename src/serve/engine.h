@@ -57,13 +57,6 @@ struct QueryResult {
 struct EngineOptions {
   bool batch_base_cases = true; // SoA leaf tiles vs scalar per-pair loop
   real_t tau = 0; // approximation budget for SUM plans; 0 = exact
-  /// Interleaved batch execution (run_query_batch): how many descents one
-  /// worker keeps in flight, and how many node visits each gets per
-  /// resume() slice before the worker round-robins to the next cursor.
-  /// Neither knob changes any answer -- per-query visit order is fixed --
-  /// only how misses overlap compute.
-  index_t interleave_width = 16;
-  index_t resume_steps = 32;
   /// Approximate mode: route eligible KARGMIN/KMIN-family plans to the
   /// snapshot's k-NN graph (routes_to_graph below). Like tau, these are
   /// *runtime serving parameters, not plan properties* -- exact and
@@ -71,14 +64,6 @@ struct EngineOptions {
   /// turning approx off always restores the exact answer bitwise.
   bool approx = false;
   index_t beam_width = 64; // graph beam; clamped up to the plan's k
-};
-
-/// Per-worker scratch for the interleaved batch path: one Workspace per
-/// in-flight query (reduction slots and leaf buffers must stay live across
-/// suspensions), grown lazily to the largest batch seen and reused across
-/// batches. Never shared between threads.
-struct BatchWorkspace {
-  std::vector<Workspace> per_query;
 };
 
 /// Does this (plan, snapshot, options) triple route to the approximate
@@ -108,22 +93,6 @@ QueryResult run_query(const CompiledPlan& plan, const TreeSnapshot& snapshot,
                       const real_t* point, const EngineOptions& options,
                       Workspace& ws);
 
-/// Answer one coalesced micro-batch of same-plan requests by interleaving
-/// resumable descents (traversal/cursor.h): up to `options.interleave_width`
-/// queries are in flight at once and the worker round-robins
-/// resume(resume_steps) across them, so one query's node/tile miss is hidden
-/// behind another's compute, with a software prefetch of the next node and
-/// SoA tile issued at every suspension point. Each query's result -- values,
-/// ids, AND stats -- is bitwise-identical to run_query on the same inputs:
-/// queries never share mutable state and each descent's visit order is
-/// unchanged, only the scheduling between descents differs. `results` must
-/// have room for `count` entries. Reentrant across threads, each with its
-/// own BatchWorkspace.
-void run_query_batch(const CompiledPlan& plan, const TreeSnapshot& snapshot,
-                     const real_t* const* points, index_t count,
-                     const EngineOptions& options, BatchWorkspace& ws,
-                     QueryResult* results);
-
 /// The serial O(N) oracle: same kernels, same envelope VM, one pass over the
 /// snapshot's points in ascending permuted order. With tau == 0 the results
 /// match run_query bitwise (values; arg ids can legitimately differ on
@@ -151,15 +120,6 @@ QueryResult run_query_bruteforce(const CompiledPlan& plan,
 QueryResult run_query(const CompiledPlan& plan, const LiveView& view,
                       const real_t* point, const EngineOptions& options,
                       Workspace& ws);
-
-/// Interleaved micro-batch against a live view: per-query main descents are
-/// scheduled exactly as the snapshot overload (bitwise-identical visit
-/// order); each query drains the delta at its own finish, so results equal
-/// the single-query live path bit for bit.
-void run_query_batch(const CompiledPlan& plan, const LiveView& view,
-                     const real_t* const* points, index_t count,
-                     const EngineOptions& options, BatchWorkspace& ws,
-                     QueryResult* results);
 
 /// The live oracle: one scalar sweep over the exact point-set the view
 /// pins, in canonical visible order (main permuted-ascending minus

@@ -179,69 +179,8 @@ std::future<Response> PortalService::submit(PlanHandle plan,
   return future;
 }
 
-/// One coalesced batch through the interleaved engine path: per-request
-/// deadline check immediately before execution (late arrivals expire without
-/// burning engine time), one run_query_batch over the survivors, then a
-/// per-request re-check before fulfillment so a request whose deadline
-/// passed *during* execution is answered Expired, never a late Ok. An
-/// engine throw fails the whole batch (the interleaved descents share the
-/// engine invocation), fulfilling every live request with the error.
-void PortalService::run_batch_interleaved(
-    std::vector<std::unique_ptr<Pending>>& batch,
-    const std::shared_ptr<const LiveView>& view, const EngineOptions& eopt,
-    BatchWorkspace& bws) {
-  std::vector<Pending*> live;
-  std::vector<const real_t*> points;
-  live.reserve(batch.size());
-  points.reserve(batch.size());
-  for (std::unique_ptr<Pending>& pending : batch) {
-    if (expire_if_late(*pending, "deadline exceeded in queue")) continue;
-    live.push_back(pending.get());
-    points.push_back(pending->point.data());
-  }
-  if (live.empty()) return;
-
-  // One routing decision covers the batch: coalescing guarantees every
-  // member shares the head's plan, and the view is pinned for the duration.
-  const bool approx_routed =
-      view->snapshot && routes_to_graph(*live.front()->plan, *view->snapshot, eopt);
-
-  std::vector<QueryResult> results(live.size());
-  try {
-    run_query_batch(*live.front()->plan, *view, points.data(),
-                    static_cast<index_t>(live.size()), eopt, bws,
-                    results.data());
-  } catch (const std::exception& e) {
-    for (Pending* pending : live) {
-      errors_.fetch_add(1, std::memory_order_relaxed);
-      Response resp;
-      resp.status = Status::Error;
-      resp.error = e.what();
-      fulfill(*pending, std::move(resp));
-    }
-    return;
-  }
-
-  for (std::size_t i = 0; i < live.size(); ++i) {
-    Pending& pending = *live[i];
-    if (expire_if_late(pending, "deadline exceeded during execution"))
-      continue;
-    completed_.fetch_add(1, std::memory_order_relaxed);
-    PORTAL_OBS_COUNT("serve/completed", 1);
-    Response resp;
-    resp.status = Status::Ok;
-    resp.result = std::move(results[i]);
-    resp.epoch = view->epoch();
-    resp.watermark = view->watermark;
-    resp.approximate = approx_routed;
-    if (options_.capture_view) resp.view = view;
-    fulfill(pending, std::move(resp));
-  }
-}
-
 void PortalService::worker_loop() {
   Workspace ws;
-  BatchWorkspace bws;
   std::vector<std::unique_ptr<Pending>> batch;
   while (true) {
     batch.clear();
@@ -281,20 +220,14 @@ void PortalService::worker_loop() {
     EngineOptions eopt;
     eopt.batch_base_cases = options_.batch_base_cases;
     eopt.tau = options_.tau;
-    eopt.interleave_width = options_.interleave_width;
-    eopt.resume_steps = options_.resume_steps;
     eopt.beam_width = options_.beam_width;
     eopt.approx =
         options_.approx ||
         (options_.approx_auto_dim > 0 && view && view->snapshot &&
          view->snapshot->dim() >= options_.approx_auto_dim);
 
-    if (options_.interleave && view) {
-      run_batch_interleaved(batch, view, eopt, bws);
-      continue;
-    }
-
-    // Recursive baseline: one run-to-completion descent per request.
+    // One run-to-completion descent per request; a request's engine error
+    // fails that request alone.
     for (std::unique_ptr<Pending>& pending : batch) {
       // Deadline check at this request's turn, not just at dequeue: the
       // requests ahead of it in the batch may have consumed its budget.

@@ -43,7 +43,7 @@ namespace portal::serve {
 enum class Status {
   Ok,       // answered; result/epoch/latency valid
   Rejected, // admission control: queue full (or service stopped)
-  Expired,  // deadline passed before a worker picked the request up
+  Expired,  // deadline passed in the queue or during the request's descent
   Error,    // the engine threw; see Response::error
 };
 
@@ -89,14 +89,6 @@ struct ServiceOptions {
   /// invocations (DESIGN.md Sec. 17, docs/SERVING.md).
   bool jit = false;
   std::string jit_cache_dir;
-  /// Answer each coalesced micro-batch with interleaved resumable descents
-  /// (engine.h run_query_batch): the worker round-robins resume() slices
-  /// across the batch so one request's cache miss hides behind another's
-  /// compute. false = the recursive baseline, one run_query per request.
-  /// Either way every answer is bitwise-identical (docs/SERVING.md).
-  bool interleave = true;
-  index_t interleave_width = 16;   // in-flight descents per worker
-  index_t resume_steps = 32;       // node visits per resume() slice
   /// --- approximate mode (DESIGN.md Sec. 18, docs/SERVING.md) ---
   /// Runtime serving parameters like tau: they never enter plan identity,
   /// so exact and approximate callers at any beam width share one compiled
@@ -224,9 +216,6 @@ class PortalService {
   };
 
   void worker_loop();
-  void run_batch_interleaved(std::vector<std::unique_ptr<Pending>>& batch,
-                             const std::shared_ptr<const LiveView>& view,
-                             const EngineOptions& eopt, BatchWorkspace& bws);
   void fulfill(Pending& pending, Response response);
   /// Has this request's deadline passed as of now?
   bool past_deadline(const Pending& pending) const;

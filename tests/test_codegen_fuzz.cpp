@@ -21,6 +21,8 @@
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <set>
+#include <type_traits>
 #include <vector>
 
 #include "core/analysis.h"
@@ -40,7 +42,6 @@
 #include "serve/engine.h"
 #include "serve/live.h"
 #include "serve/plan_cache.h"
-#include "traversal/cursor.h"
 #include "traversal/singletree.h"
 #include "tree/balltree.h"
 #include "tree/octree.h"
@@ -326,7 +327,7 @@ ChainSpec draw_chain(Rng& rng, const Var& q, const Var& r, int chain_index,
 Storage run_chain(const ChainSpec& spec, const Var& q, const Var& r,
                   const Storage& query, const Storage& reference, Engine engine,
                   ProblemCategory* category, bool batch = true,
-                  index_t leaf_size = 16, bool gated = true) {
+                  index_t leaf_size = 16) {
   PortalExpr expr;
   if (spec.use_custom) {
     expr.addLayer(spec.outer, q, query);
@@ -342,7 +343,6 @@ Storage run_chain(const ChainSpec& spec, const Var& q, const Var& r,
   config.tau = 1e-3;
   config.leaf_size = leaf_size;
   config.batch_base_cases = batch;
-  config.analysis_gated_prune = gated;
   expr.execute(config);
   if (category != nullptr) *category = expr.plan().category;
   return expr.getOutput();
@@ -442,131 +442,6 @@ TEST(DifferentialConformance, RandomChainsAgreeAcrossEngines) {
       << "Mahalanobis chains under-represented";
 }
 
-// Analysis-gated prune legality: with config.analysis_gated_prune ON the
-// engines answer "may I prune / is this an identity envelope / may I
-// approximate" from the KernelFacts proven by the dataflow sweep
-// (core/analysis); OFF re-matches envelope shapes the legacy way. The facts
-// are *defined* to coincide with the legacy conditions, so flipping the flag
-// swaps the oracle without ever changing an answer -- every engine must
-// produce bitwise-identical output (tolerance ZERO, values and arg ids)
-// either way. This is the acceptance wall for the gated-prune refactor.
-TEST(DifferentialConformance, AnalysisGatedPruningBitwiseIdentical) {
-  const std::uint64_t seed = fuzz_seed();
-  std::printf("PORTAL_FUZZ_SEED=%llu\n",
-              static_cast<unsigned long long>(seed));
-  Rng rng(seed ^ 0x9e3779b97f4a7c15ull);
-
-  const bool jit = jit_available();
-  constexpr int kChains = 60;
-
-  for (int chain = 0; chain < kChains; ++chain) {
-    Var q, r;
-    const ChainSpec spec = draw_chain(rng, q, r, chain, seed);
-    const index_t nq = 20 + static_cast<index_t>(rng.uniform_index(24));
-    const index_t nr = 32 + static_cast<index_t>(rng.uniform_index(40));
-    Storage query(make_gaussian_mixture(nq, 3, 3, seed + 97 * chain));
-    Storage reference = spec.self_join
-                            ? query
-                            : Storage(make_gaussian_mixture(
-                                  nr, 3, 3, seed + 97 * chain + 13));
-    SCOPED_TRACE("chain " + std::to_string(chain) + " [" + spec.description +
-                 "] seed=" + std::to_string(seed) +
-                 (spec.use_custom
-                      ? " kernel: " + spec.custom_kernel.to_string()
-                      : ""));
-
-    for (Engine engine : {Engine::VM, Engine::JIT, Engine::Pattern}) {
-      if (engine == Engine::JIT && !jit) continue;
-      Storage on, off;
-      try {
-        on = run_chain(spec, q, r, query, reference, engine, nullptr,
-                       /*batch=*/true, /*leaf_size=*/16, /*gated=*/true);
-        off = run_chain(spec, q, r, query, reference, engine, nullptr,
-                        /*batch=*/true, /*leaf_size=*/16, /*gated=*/false);
-      } catch (const std::invalid_argument&) {
-        // Pattern engine: no specialized kernel matches this chain. Both
-        // runs throw identically (the flag never changes matchability).
-        continue;
-      }
-      const std::string mismatch = compare_outputs(on.output(), off.output(), 0);
-      EXPECT_TRUE(mismatch.empty())
-          << engine_name(engine) << " gated vs legacy: " << mismatch;
-    }
-  }
-}
-
-// Same invariant through the serving runtime at tau = 0: the single-query
-// engine's prune/approximation decisions route through the same gated_fact
-// helper, so a plan compiled with gating ON must answer every query bitwise
-// identically (values AND ids) to one compiled with gating OFF.
-TEST(DifferentialConformance, ServeEngineGatedPruningBitwiseIdentical) {
-  const Dataset reference = make_gaussian_mixture(400, 3, 3, 20260807);
-  const Dataset queries = make_gaussian_mixture(16, 3, 3, 11);
-  const auto snapshot =
-      TreeSnapshot::build(std::make_shared<const Dataset>(reference), 1, {});
-
-  std::vector<LayerSpec> chains;
-  {
-    LayerSpec knn;
-    knn.op = OpSpec(PortalOp::KARGMIN, 4);
-    knn.func = PortalFunc::EUCLIDEAN;
-    chains.push_back(knn);
-    LayerSpec kde;
-    kde.op = OpSpec(PortalOp::SUM);
-    kde.func = PortalFunc::gaussian(0.8);
-    chains.push_back(kde);
-    LayerSpec range;
-    range.op = OpSpec(PortalOp::UNIONARG);
-    range.func = PortalFunc::indicator(1e-9, 1.2);
-    chains.push_back(range);
-    LayerSpec nn;
-    nn.op = OpSpec(PortalOp::MIN);
-    nn.func = PortalFunc::EUCLIDEAN;
-    chains.push_back(nn);
-  }
-
-  for (std::size_t c = 0; c < chains.size(); ++c) {
-    SCOPED_TRACE("serve chain " + std::to_string(c));
-    PortalConfig config;
-    config.tau = 0;
-    config.analysis_gated_prune = true;
-    serve::PlanCache gated_cache;
-    serve::PlanHandle gated =
-        gated_cache.get_or_compile(chains[c], reference, config);
-    config.analysis_gated_prune = false;
-    serve::PlanCache legacy_cache;
-    serve::PlanHandle legacy =
-        legacy_cache.get_or_compile(chains[c], reference, config);
-    ASSERT_TRUE(gated);
-    ASSERT_TRUE(legacy);
-    EXPECT_TRUE(gated->plan.analysis_gated);
-    EXPECT_FALSE(legacy->plan.analysis_gated);
-
-    serve::Workspace ws;
-    serve::EngineOptions options;
-    options.tau = 0;
-    for (index_t i = 0; i < queries.size(); ++i) {
-      std::vector<real_t> pt(queries.dim());
-      for (index_t d = 0; d < queries.dim(); ++d) pt[d] = queries.coord(i, d);
-      const serve::QueryResult a =
-          serve::run_query(*gated, *snapshot, pt.data(), options, ws);
-      const serve::QueryResult b =
-          serve::run_query(*legacy, *snapshot, pt.data(), options, ws);
-      ASSERT_EQ(a.values.size(), b.values.size());
-      for (std::size_t v = 0; v < b.values.size(); ++v) {
-        if (std::isnan(b.values[v])) {
-          EXPECT_TRUE(std::isnan(a.values[v])) << "query " << i << " slot " << v;
-        } else {
-          EXPECT_EQ(a.values[v], b.values[v]) << "query " << i << " slot " << v;
-        }
-      }
-      ASSERT_EQ(a.ids.size(), b.ids.size());
-      for (std::size_t v = 0; v < b.ids.size(); ++v)
-        EXPECT_EQ(a.ids[v], b.ids[v]) << "query " << i << " slot " << v;
-    }
-  }
-}
-
 // Approximate-serving wall: a graph-routed answer is always a SUBSET of the
 // dataset with *exact* values -- only completeness is approximate. Across
 // random sizes, dimensions, k, beam widths, and both L2 metrics the
@@ -654,22 +529,99 @@ TEST(DifferentialConformance, ApproximateGraphSubsetWithExactDistances) {
   EXPECT_GE(recall, 0.9);
 }
 
-// The resumable-traversal wall (traversal/cursor.h): the TraversalCursor and
-// the interleaved serve batch path claim *bitwise* identity with the
-// run-to-completion descent at tau = 0 -- any interleaving of resume() slices
-// across queries must be invisible in values, ids, and per-query traversal
-// counters. Two axes:
-//   1. random serve chains x batch_base_cases on/off x random interleave
-//      grains: run_query_batch vs per-query run_query (the recursive oracle);
-//   2. random kd/ball/octree shapes x random resume grains: a raw cursor
-//      (resume-driven and next_leaf-driven) vs single_traverse.
-TEST(DifferentialConformance, CursorVsRecursiveBitwiseIdentical) {
+/// Serve answers at tau = 0: values bitwise (NaN matches NaN), ids exactly.
+void expect_serve_bitwise(const serve::QueryResult& got,
+                          const serve::QueryResult& want) {
+  ASSERT_EQ(got.values.size(), want.values.size());
+  for (std::size_t v = 0; v < want.values.size(); ++v) {
+    if (std::isnan(want.values[v])) {
+      EXPECT_TRUE(std::isnan(got.values[v])) << "slot " << v;
+    } else {
+      EXPECT_EQ(got.values[v], want.values[v]) << "slot " << v;
+    }
+  }
+  ASSERT_EQ(got.ids.size(), want.ids.size());
+  for (std::size_t v = 0; v < want.ids.size(); ++v)
+    EXPECT_EQ(got.ids[v], want.ids[v]) << "slot " << v;
+}
+
+// The serving engine's prune decisions come from the plan's KernelFacts
+// alone. For the four rule families a serve plan can take (k-NN, KDE sum,
+// range union, nearest distance) the facts must grant the expected
+// legality, and every pruned descent must still answer bitwise like the
+// brute-force scan of the same snapshot.
+TEST(DifferentialConformance, ServeEnginePruningMatchesBruteForce) {
+  const Dataset reference = make_gaussian_mixture(400, 3, 3, 20260807);
+  const Dataset queries = make_gaussian_mixture(16, 3, 3, 11);
+  const auto snapshot =
+      TreeSnapshot::build(std::make_shared<const Dataset>(reference), 1, {});
+
+  struct Case {
+    LayerSpec inner;
+    bool reduction_prune;
+    bool indicator_prune;
+  };
+  std::vector<Case> cases;
+  {
+    Case knn{};
+    knn.inner.op = OpSpec(PortalOp::KARGMIN, 4);
+    knn.inner.func = PortalFunc::EUCLIDEAN;
+    knn.reduction_prune = true;
+    cases.push_back(knn);
+    Case kde{};
+    kde.inner.op = OpSpec(PortalOp::SUM);
+    kde.inner.func = PortalFunc::gaussian(0.8);
+    cases.push_back(kde);
+    Case range{};
+    range.inner.op = OpSpec(PortalOp::UNIONARG);
+    range.inner.func = PortalFunc::indicator(1e-9, 1.2);
+    range.indicator_prune = true;
+    cases.push_back(range);
+    Case nn{};
+    nn.inner.op = OpSpec(PortalOp::MIN);
+    nn.inner.func = PortalFunc::EUCLIDEAN;
+    nn.reduction_prune = true;
+    cases.push_back(nn);
+  }
+
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    SCOPED_TRACE("serve chain " + std::to_string(c));
+    PortalConfig config;
+    config.tau = 0;
+    serve::PlanCache cache;
+    serve::PlanHandle plan =
+        cache.get_or_compile(cases[c].inner, reference, config);
+    ASSERT_TRUE(plan);
+    EXPECT_EQ(plan->plan.facts.reduction_prune_legal, cases[c].reduction_prune);
+    EXPECT_EQ(plan->plan.facts.indicator_prune_legal, cases[c].indicator_prune);
+
+    serve::Workspace ws;
+    serve::EngineOptions options;
+    options.tau = 0;
+    std::uint64_t prunes = 0;
+    for (index_t i = 0; i < queries.size(); ++i) {
+      SCOPED_TRACE("query " + std::to_string(i));
+      std::vector<real_t> pt(queries.dim());
+      for (index_t d = 0; d < queries.dim(); ++d) pt[d] = queries.coord(i, d);
+      const serve::QueryResult got =
+          serve::run_query(*plan, *snapshot, pt.data(), options, ws);
+      prunes += got.stats.prunes;
+      expect_serve_bitwise(
+          got, serve::run_query_bruteforce(*plan, *snapshot, pt.data()));
+    }
+    if (cases[c].reduction_prune || cases[c].indicator_prune)
+      EXPECT_GT(prunes, 0u) << "legal pruning never fired";
+  }
+}
+
+// Random serve chains x random leaf sizes x batch base cases on/off: the
+// per-request descent (run_query) against the brute-force scan of the same
+// snapshot, bitwise at tau = 0.
+TEST(DifferentialConformance, ServeChainsMatchBruteForceAcrossLeafSizes) {
   const std::uint64_t seed = fuzz_seed();
   std::printf("PORTAL_FUZZ_SEED=%llu\n", static_cast<unsigned long long>(seed));
   Rng rng(seed ^ 0xcafef00dd15ea5e5ull);
 
-  // Axis 1: serve chains. run_query runs single_traverse to completion, so
-  // it *is* the recursive oracle for the interleaved path.
   constexpr int kChains = 24;
   for (int c = 0; c < kChains; ++c) {
     LayerSpec inner;
@@ -725,98 +677,72 @@ TEST(DifferentialConformance, CursorVsRecursiveBitwiseIdentical) {
         cache.get_or_compile(inner, reference, PortalConfig{});
     ASSERT_TRUE(plan);
 
-    std::vector<std::vector<real_t>> pts;
-    std::vector<const real_t*> ptrs;
+    serve::Workspace ws;
     for (index_t i = 0; i < nq; ++i) {
       std::vector<real_t> pt(3);
       for (index_t d = 0; d < 3; ++d) pt[d] = queries.coord(i, d);
-      pts.push_back(std::move(pt));
-    }
-    for (const auto& pt : pts) ptrs.push_back(pt.data());
-
-    for (const bool batch : {true, false}) {
-      serve::EngineOptions options;
-      options.tau = 0;
-      options.batch_base_cases = batch;
-      options.interleave_width =
-          1 + static_cast<index_t>(rng.uniform_index(16));
-      options.resume_steps = 1 + static_cast<index_t>(rng.uniform_index(48));
-
-      serve::BatchWorkspace bws;
-      std::vector<serve::QueryResult> got(pts.size());
-      serve::run_query_batch(*plan, *snapshot, ptrs.data(), nq, options, bws,
-                             got.data());
-      serve::Workspace ws;
-      for (index_t i = 0; i < nq; ++i) {
-        const serve::QueryResult want =
-            serve::run_query(*plan, *snapshot, pts[static_cast<std::size_t>(i)].data(),
-                             options, ws);
-        const auto& g = got[static_cast<std::size_t>(i)];
-        ASSERT_EQ(g.values.size(), want.values.size());
-        for (std::size_t v = 0; v < want.values.size(); ++v) {
-          if (std::isnan(want.values[v])) {
-            EXPECT_TRUE(std::isnan(g.values[v])) << "query " << i << " slot " << v;
-          } else {
-            EXPECT_EQ(g.values[v], want.values[v]) << "query " << i << " slot " << v;
-          }
-        }
-        ASSERT_EQ(g.ids.size(), want.ids.size());
-        for (std::size_t v = 0; v < want.ids.size(); ++v)
-          EXPECT_EQ(g.ids[v], want.ids[v]) << "query " << i << " slot " << v;
-        EXPECT_EQ(g.stats.pairs_visited, want.stats.pairs_visited)
-            << "query " << i << " batch " << batch;
-        EXPECT_EQ(g.stats.prunes, want.stats.prunes);
-        EXPECT_EQ(g.stats.base_cases, want.stats.base_cases);
+      const serve::QueryResult oracle =
+          serve::run_query_bruteforce(*plan, *snapshot, pt.data());
+      for (const bool batch : {true, false}) {
+        SCOPED_TRACE("query " + std::to_string(i) +
+                     (batch ? " batched" : " scalar"));
+        serve::EngineOptions options;
+        options.tau = 0;
+        options.batch_base_cases = batch;
+        expect_serve_bitwise(
+            serve::run_query(*plan, *snapshot, pt.data(), options, ws), oracle);
       }
     }
   }
+}
 
-  // Axis 2: raw cursor vs single_traverse across all three tree shapes.
+// The one descent (single_traverse) on random kd, ball and octree shapes at
+// random leaf sizes: no leaf is evaluated twice, and the evaluated leaves
+// hold every point of the dataset.
+TEST(DifferentialConformance, SingleTraverseCoversRandomTreeShapes) {
+  const std::uint64_t seed = fuzz_seed();
+  std::printf("PORTAL_FUZZ_SEED=%llu\n", static_cast<unsigned long long>(seed));
+  Rng rng(seed ^ 0x5eed5eed0dd5eed5ull);
+
   for (int trial = 0; trial < 12; ++trial) {
     const index_t n = 100 + static_cast<index_t>(rng.uniform_index(400));
     const index_t leaf = 1 + static_cast<index_t>(rng.uniform_index(16));
-    const index_t grain = 1 + static_cast<index_t>(rng.uniform_index(64));
     const int shape = static_cast<int>(rng.uniform_index(3));
     SCOPED_TRACE("tree trial " + std::to_string(trial) + " shape " +
                  std::to_string(shape) + " n " + std::to_string(n) + " leaf " +
-                 std::to_string(leaf) + " grain " + std::to_string(grain));
+                 std::to_string(leaf));
 
-    const auto check = [&](const auto& tree) {
+    const auto check = [&](const auto& tree, std::size_t points) {
       using Tree = std::decay_t<decltype(tree)>;
       struct CountRules {
         const Tree* tree = nullptr;
         std::uint64_t points = 0;
+        std::set<index_t> leaves;
+        bool repeated = false;
         bool prune_or_take(index_t) { return false; }
         void base_case(index_t node) {
+          repeated |= !leaves.insert(node).second;
           points += static_cast<std::uint64_t>(tree->node(node).count());
         }
       };
-      CountRules oracle{&tree};
-      const TraversalStats want = single_traverse(tree, oracle);
-
       CountRules rules{&tree};
-      TraversalCursor<Tree, CountRules> cursor(tree, rules);
-      while (cursor.resume(grain) != CursorState::Done) continue;
-      EXPECT_EQ(rules.points, oracle.points);
-      EXPECT_EQ(cursor.stats().pairs_visited, want.pairs_visited);
-      EXPECT_EQ(cursor.stats().base_cases, want.base_cases);
-
-      // next_leaf drain: the host runs each yielded leaf's base case.
-      CountRules drain{&tree};
-      TraversalCursor<Tree, CountRules> yielder(tree, drain);
-      for (index_t l = yielder.next_leaf(); l >= 0; l = yielder.next_leaf())
-        drain.base_case(l);
-      EXPECT_EQ(drain.points, oracle.points);
-      EXPECT_EQ(yielder.stats().base_cases, want.base_cases);
+      const TraversalStats stats = single_traverse(tree, rules);
+      EXPECT_FALSE(rules.repeated);
+      EXPECT_EQ(rules.points, static_cast<std::uint64_t>(points));
+      EXPECT_EQ(stats.base_cases, rules.leaves.size());
+      EXPECT_EQ(stats.prunes, 0u);
+      EXPECT_GE(stats.pairs_visited, stats.base_cases);
     };
 
     if (shape == 0) {
-      check(KdTree(make_gaussian_mixture(n, 3, 3, seed + 131 * trial), leaf));
+      check(KdTree(make_gaussian_mixture(n, 3, 3, seed + 131 * trial), leaf),
+            static_cast<std::size_t>(n));
     } else if (shape == 1) {
-      check(BallTree(make_gaussian_mixture(n, 3, 3, seed + 131 * trial), leaf));
+      check(BallTree(make_gaussian_mixture(n, 3, 3, seed + 131 * trial), leaf),
+            static_cast<std::size_t>(n));
     } else {
       const ParticleSet set = make_elliptical(n, seed + 131 * trial);
-      check(Octree(set.positions, set.masses, leaf));
+      check(Octree(set.positions, set.masses, leaf), set.positions.size());
     }
   }
 }
@@ -1032,8 +958,7 @@ TEST(DifferentialConformance, MahalanobisLowersToCholeskyAndEnginesAgree) {
 // random insert/remove/merge interleavings against a LiveStore. At every
 // checkpoint the two-root sweep (main kd descent + delta drain) is compared
 //   1. bitwise against the live brute-force oracle over the exact pinned
-//      point-set, with batch base cases on/off and the interleaved batch
-//      path at a random grain (batch on/off x interleave on/off);
+//      point-set, with batch base cases on/off;
 //   2. against a single kd-tree rebuilt from scratch over the live union in
 //      canonical visible order: per-element bitwise for reductions (ids
 //      translated through the union construction order) and set-equal
@@ -1182,15 +1107,7 @@ TEST(DifferentialConformance, LiveTwoRootVsRebuiltUnionTree) {
         SCOPED_TRACE("chain " + std::to_string(c));
         const serve::PlanHandle& plan = plans[c];
         serve::Workspace ws;
-        serve::BatchWorkspace bws;
         serve::EngineOptions eopt;
-        eopt.interleave_width =
-            static_cast<index_t>(1 + rng.uniform_index(8));
-        eopt.resume_steps = static_cast<index_t>(1 + rng.uniform_index(48));
-        std::vector<serve::QueryResult> batched(probe_store.size());
-        serve::run_query_batch(*plan, *view, probe_ptrs.data(),
-                               static_cast<index_t>(probe_store.size()), eopt,
-                               bws, batched.data());
 
         for (std::size_t q = 0; q < probe_store.size(); ++q) {
           SCOPED_TRACE("probe " + std::to_string(q));
@@ -1198,8 +1115,7 @@ TEST(DifferentialConformance, LiveTwoRootVsRebuiltUnionTree) {
           const serve::QueryResult oracle =
               serve::run_query_bruteforce(*plan, *view, pt);
 
-          // Axis 1: engine vs live oracle, bitwise, across batch on/off and
-          // the interleaved path.
+          // Axis 1: engine vs live oracle, bitwise, across batch on/off.
           for (const bool batch : {true, false}) {
             eopt.batch_base_cases = batch;
             const serve::QueryResult got =
@@ -1209,10 +1125,6 @@ TEST(DifferentialConformance, LiveTwoRootVsRebuiltUnionTree) {
             for (std::size_t v = 0; v < oracle.ids.size(); ++v)
               EXPECT_EQ(got.ids[v], oracle.ids[v]) << "slot " << v;
           }
-          bitwise_values(batched[q], oracle, "live interleaved");
-          ASSERT_EQ(batched[q].ids.size(), oracle.ids.size());
-          for (std::size_t v = 0; v < oracle.ids.size(); ++v)
-            EXPECT_EQ(batched[q].ids[v], oracle.ids[v]) << "slot " << v;
 
           // Axis 2: the rebuilt union tree names the same point-set.
           const serve::QueryResult other =

@@ -5,8 +5,10 @@
 // (docs/DIAGNOSTICS.md).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "core/analysis/dataflow.h"
 #include "core/analysis/lint.h"
@@ -43,7 +45,6 @@ TEST(AnalysisFacts, KnnChainProvesIdentityEnvelope) {
   expr.compile();
 
   const KernelFacts& facts = expr.plan().facts;
-  ASSERT_TRUE(facts.computed);
   EXPECT_TRUE(facts.envelope_identity);
   EXPECT_FALSE(facts.envelope_indicator);
   EXPECT_EQ(facts.mono, Monotonicity::NonDecreasing);
@@ -71,7 +72,6 @@ TEST(AnalysisFacts, GaussianKernelProvenNonIncreasing) {
   expr.compile();
 
   const KernelFacts& facts = expr.plan().facts;
-  ASSERT_TRUE(facts.computed);
   EXPECT_EQ(facts.mono, Monotonicity::NonIncreasing);
   EXPECT_EQ(facts.mono_confidence, FactConfidence::Proven);
   EXPECT_TRUE(facts.approx_legal);
@@ -92,7 +92,6 @@ TEST(AnalysisFacts, IndicatorChainFacts) {
   expr.compile();
 
   const KernelFacts& facts = expr.plan().facts;
-  ASSERT_TRUE(facts.computed);
   EXPECT_TRUE(facts.envelope_indicator);
   EXPECT_TRUE(facts.indicator_prune_legal);
   EXPECT_FALSE(facts.reduction_prune_legal);
@@ -115,7 +114,6 @@ TEST(AnalysisFacts, ExternalKernelIsOpaque) {
   expr.compile();
 
   const KernelFacts& facts = expr.plan().facts;
-  ASSERT_TRUE(facts.computed);
   EXPECT_FALSE(facts.symmetric); // no structural view into the callable
   EXPECT_FALSE(facts.envelope_identity);
   EXPECT_FALSE(facts.reduction_prune_legal);
@@ -379,40 +377,7 @@ TEST(Lint, W106QuietWhenTauDefaulted) {
   EXPECT_FALSE(has_code(expr.artifacts().lint_diagnostics, "PTL-W106"));
 }
 
-// -- analysis-gated prune legality ------------------------------------------
-
-TEST(AnalysisGating, GatedAndLegacySelectionAgree) {
-  // The facts are defined to coincide with the legacy shape comparisons;
-  // results must be bitwise identical with gating on and off. (The fuzz
-  // suite drives this across random chains; this is the deterministic core.)
-  Storage query(make_gaussian_mixture(60, 3, 2, 63));
-  Storage reference(make_gaussian_mixture(120, 3, 2, 64));
-
-  auto run = [&](bool gated) {
-    PortalConfig config;
-    config.parallel = false;
-    config.analysis_gated_prune = gated;
-    config.engine = Engine::VM;
-
-    PortalExpr expr;
-    expr.addLayer(PortalOp::FORALL, query);
-    expr.addLayer({PortalOp::KMIN, 3}, reference, PortalFunc::EUCLIDEAN);
-    expr.execute(config);
-    EXPECT_EQ(expr.plan().analysis_gated, gated);
-    Storage out = expr.getOutput();
-    std::vector<real_t> values;
-    for (index_t i = 0; i < out.rows(); ++i)
-      for (index_t j = 0; j < out.cols(); ++j)
-        values.push_back(out.value(i, j));
-    return values;
-  };
-
-  const std::vector<real_t> gated = run(true);
-  const std::vector<real_t> legacy = run(false);
-  ASSERT_EQ(gated.size(), legacy.size());
-  for (std::size_t i = 0; i < gated.size(); ++i)
-    EXPECT_EQ(gated[i], legacy[i]) << "slot " << i; // bitwise, not NEAR
-}
+// -- facts on the compiled plan ---------------------------------------------
 
 TEST(AnalysisGating, FactsCachedOnPlanNextToFingerprint) {
   Storage data(make_gaussian_mixture(60, 3, 2, 65));
@@ -421,15 +386,90 @@ TEST(AnalysisGating, FactsCachedOnPlanNextToFingerprint) {
   expr.addLayer(PortalOp::SUM, data, PortalFunc::gaussian(0.8));
   expr.compile();
   EXPECT_NE(expr.plan().fingerprint, 0u);
-  EXPECT_TRUE(expr.plan().facts.computed);
-  // Facts must not perturb plan identity: recompiling with gating off keeps
-  // the fingerprint (same verified IR).
+  EXPECT_TRUE(expr.plan().facts.approx_legal);
+  // Facts must not perturb plan identity: a recompile under a config that
+  // leaves the verified IR alone keeps the fingerprint.
   const std::uint64_t fp = expr.plan().fingerprint;
   PortalConfig config;
-  config.analysis_gated_prune = false;
+  config.parallel = false;
   expr.setConfig(config);
   expr.compile();
   EXPECT_EQ(expr.plan().fingerprint, fp);
+  EXPECT_TRUE(expr.plan().facts.approx_legal);
+}
+
+TEST(AnalysisGating, FactsDrivenKminPrunesAndMatchesBruteForce) {
+  // KMIN over an identity envelope: the facts alone license the prune, the
+  // engines must use it, and the answers must stay those of a full scan.
+  Storage query(make_gaussian_mixture(60, 3, 2, 63));
+  Storage reference(make_gaussian_mixture(120, 3, 2, 64));
+  const index_t k = 3;
+
+  const Dataset& qdata = query.dataset();
+  const Dataset& rdata = reference.dataset();
+  std::vector<real_t> brute;
+  for (index_t i = 0; i < qdata.size(); ++i) {
+    std::vector<real_t> dists;
+    for (index_t j = 0; j < rdata.size(); ++j) {
+      real_t sq = 0;
+      for (index_t d = 0; d < qdata.dim(); ++d) {
+        const real_t diff = qdata.coord(i, d) - rdata.coord(j, d);
+        sq += diff * diff;
+      }
+      dists.push_back(std::sqrt(sq));
+    }
+    std::sort(dists.begin(), dists.end());
+    brute.insert(brute.end(), dists.begin(), dists.begin() + k);
+  }
+
+  for (const Engine engine : {Engine::VM, Engine::Pattern}) {
+    SCOPED_TRACE(engine == Engine::VM ? "vm" : "pattern");
+    PortalConfig config;
+    config.parallel = false;
+    config.engine = engine;
+    PortalExpr expr;
+    expr.addLayer(PortalOp::FORALL, query);
+    expr.addLayer({PortalOp::KMIN, k}, reference, PortalFunc::EUCLIDEAN);
+    expr.execute(config);
+    EXPECT_TRUE(expr.plan().facts.reduction_prune_legal);
+    EXPECT_GT(expr.stats().prunes, 0u);
+
+    Storage out = expr.getOutput();
+    ASSERT_EQ(out.rows() * out.cols(), static_cast<index_t>(brute.size()));
+    for (index_t i = 0; i < out.rows(); ++i)
+      for (index_t j = 0; j < out.cols(); ++j) {
+        const real_t want = brute[static_cast<std::size_t>(i * k + j)];
+        EXPECT_NEAR(out.value(i, j), want, 1e-12 * std::max(want, real_t(1)))
+            << "query " << i << " rank " << j;
+      }
+  }
+}
+
+TEST(AnalysisGating, OpaqueKernelIsNeverPruned) {
+  // An external callable proves nothing, so no engine may skip a pair: the
+  // sum must see every reference point.
+  Storage query(make_gaussian_mixture(30, 3, 1, 67));
+  Storage reference(make_gaussian_mixture(90, 3, 1, 68));
+  PortalConfig config;
+  config.parallel = false;
+  PortalExpr expr;
+  expr.addLayer(PortalOp::FORALL, query);
+  expr.addLayer(
+      PortalOp::SUM, reference,
+      [](const real_t*, const real_t*, index_t) { return real_t(1); },
+      "one");
+  expr.execute(config);
+  const KernelFacts& facts = expr.plan().facts;
+  EXPECT_FALSE(facts.reduction_prune_legal);
+  EXPECT_FALSE(facts.indicator_prune_legal);
+  EXPECT_FALSE(facts.approx_legal);
+  EXPECT_EQ(expr.stats().prunes, 0u);
+
+  Storage out = expr.getOutput();
+  ASSERT_EQ(out.rows(), query.dataset().size());
+  for (index_t i = 0; i < out.rows(); ++i)
+    EXPECT_EQ(out.value(i, 0), static_cast<real_t>(reference.dataset().size()))
+        << "query " << i;
 }
 
 // -- pass-manager hook: analysis runs in the verify sandwich ----------------

@@ -115,7 +115,8 @@ TEST(Em, DeterministicPerSeed) {
 
 // Both E-steps sum the log-likelihood in a fixed order (per-point partials in
 // index order, per-node partials in preorder), so the trajectory must be
-// bitwise the same however many threads computed the partials.
+// bitwise the same however many threads computed the partials, and with
+// EmOptions::parallel off.
 TEST(Em, LogLikelihoodIsTheSameAtEveryThreadCount) {
   const Dataset data = make_gaussian_mixture(2000, 2, 3, 98);
   EmOptions options = base_options();
@@ -128,6 +129,9 @@ TEST(Em, LogLikelihoodIsTheSameAtEveryThreadCount) {
     brute.push_back(em_bruteforce(data, options));
     tree.push_back(em_expert(data, options));
   }
+  options.parallel = false;
+  brute.push_back(em_bruteforce(data, options));
+  tree.push_back(em_expert(data, options));
   omp_set_num_threads(saved_threads);
   EXPECT_GT(tree.front().approx_nodes, 0u);
   EXPECT_GT(tree.front().exact_points, 0u);

@@ -17,6 +17,7 @@
 #include <future>
 #include <map>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -33,7 +34,6 @@
 namespace portal {
 namespace {
 
-using serve::BatchWorkspace;
 using serve::CompiledPlan;
 using serve::EngineOptions;
 using serve::PlanCache;
@@ -42,7 +42,6 @@ using serve::PortalService;
 using serve::QueryResult;
 using serve::Response;
 using serve::run_query;
-using serve::run_query_batch;
 using serve::run_query_bruteforce;
 using serve::ServiceOptions;
 using serve::Status;
@@ -297,11 +296,9 @@ TEST(ServeService, ApproximateFlagIsHonest) {
     EXPECT_FALSE(rs.approximate);
   }
   {
-    // approx_auto_dim: fires because dim >= threshold; the recursive
-    // (non-interleaved) path stamps the flag too.
+    // approx_auto_dim: fires because dim >= threshold.
     ServiceOptions options;
     options.approx_auto_dim = 8;
-    options.interleave = false;
     PortalService service(options);
     service.publish(reference);
     PlanHandle knn =
@@ -552,10 +549,11 @@ TEST_F(ServeEngineTest, KminGaussianValues) {
   check_chain(chain({PortalOp::KMAX, 3}, PortalFunc::gaussian(0.8)));
 }
 
-TEST_F(ServeEngineTest, InterleavedBatchBitwiseMatchesPerQuery) {
-  // The interleaved batch path must be indistinguishable from running each
-  // query alone -- values, ids, AND per-query traversal stats -- at every
-  // interleave granularity, across all three rule families.
+TEST_F(ServeEngineTest, SharedWorkspaceMatchesFreshWorkspacePerQuery) {
+  // A worker reuses one Workspace for every request it runs, whatever the
+  // plan. Nothing may leak from one request into the next: alternating
+  // chains through a shared workspace must answer exactly -- values, ids and
+  // traversal counters -- like a fresh workspace per query.
   const std::vector<LayerSpec> chains = {
       chain({PortalOp::KARGMIN, 5}, PortalFunc::EUCLIDEAN),
       chain(PortalOp::SUM, PortalFunc::gaussian(0.6)),
@@ -563,38 +561,30 @@ TEST_F(ServeEngineTest, InterleavedBatchBitwiseMatchesPerQuery) {
       chain(PortalOp::MIN, PortalFunc::MANHATTAN),
   };
   PlanCache cache;
-  std::vector<std::vector<real_t>> pts;
-  std::vector<const real_t*> ptrs;
-  for (index_t i = 0; i < queries_.size(); ++i) {
-    std::vector<real_t> pt(queries_.dim());
-    for (index_t d = 0; d < queries_.dim(); ++d) pt[d] = queries_.coord(i, d);
-    pts.push_back(std::move(pt));
-  }
-  for (const auto& pt : pts) ptrs.push_back(pt.data());
-
+  std::vector<PlanHandle> plans;
   for (const LayerSpec& inner : chains) {
-    PlanHandle plan = cache.get_or_compile(inner, reference_, serve_config());
-    ASSERT_TRUE(plan);
-    for (const index_t width : {index_t(1), index_t(3), index_t(16)}) {
-      for (const index_t steps : {index_t(1), index_t(32)}) {
-        EngineOptions options;
-        options.interleave_width = width;
-        options.resume_steps = steps;
-        BatchWorkspace bws;
-        std::vector<QueryResult> got(pts.size());
-        run_query_batch(*plan, *snapshot_, ptrs.data(),
-                        static_cast<index_t>(ptrs.size()), options, bws,
-                        got.data());
-        Workspace ws;
-        for (std::size_t i = 0; i < pts.size(); ++i) {
-          const QueryResult want =
-              run_query(*plan, *snapshot_, pts[i].data(), options, ws);
-          expect_bitwise(got[i], want);
-          EXPECT_EQ(got[i].stats.pairs_visited, want.stats.pairs_visited)
-              << "query " << i << " width " << width << " steps " << steps;
-          EXPECT_EQ(got[i].stats.prunes, want.stats.prunes);
-          EXPECT_EQ(got[i].stats.base_cases, want.stats.base_cases);
-        }
+    plans.push_back(cache.get_or_compile(inner, reference_, serve_config()));
+    ASSERT_TRUE(plans.back());
+  }
+  for (const bool batch : {true, false}) {
+    EngineOptions options;
+    options.batch_base_cases = batch;
+    Workspace shared;
+    for (index_t i = 0; i < queries_.size(); ++i) {
+      std::vector<real_t> pt(queries_.dim());
+      for (index_t d = 0; d < queries_.dim(); ++d) pt[d] = queries_.coord(i, d);
+      for (std::size_t c = 0; c < plans.size(); ++c) {
+        SCOPED_TRACE("query " + std::to_string(i) + " chain " +
+                     std::to_string(c) + (batch ? " batched" : " scalar"));
+        const QueryResult got =
+            run_query(*plans[c], *snapshot_, pt.data(), options, shared);
+        Workspace fresh;
+        const QueryResult want =
+            run_query(*plans[c], *snapshot_, pt.data(), options, fresh);
+        expect_bitwise(got, want);
+        EXPECT_EQ(got.stats.pairs_visited, want.stats.pairs_visited);
+        EXPECT_EQ(got.stats.prunes, want.stats.prunes);
+        EXPECT_EQ(got.stats.base_cases, want.stats.base_cases);
       }
     }
   }
@@ -817,28 +807,24 @@ TEST(ServeService, DeadlineExpiresDuringExecution) {
   // Determinism: the worker is idle, so the queue wait is far below the 6ms
   // deadline and the pre-run check passes; the slow kernel then sleeps 200us
   // for each of the 64 reference points (>=12.8ms per query), so by
-  // fulfillment the deadline has deterministically passed. Both the
-  // interleaved path and the recursive baseline must expire it.
-  for (const bool interleave : {true, false}) {
-    ServiceOptions options;
-    options.workers = 1;
-    options.interleave = interleave;
-    PortalService service(options);
-    service.publish(make_uniform(64, 2, 3));
-    PlanHandle plan = slow_plan(service);
+  // fulfillment the deadline has deterministically passed.
+  ServiceOptions options;
+  options.workers = 1;
+  PortalService service(options);
+  service.publish(make_uniform(64, 2, 3));
+  PlanHandle plan = slow_plan(service);
 
-    // Warm the worker (plan state, snapshot load) with no deadline.
-    ASSERT_EQ(service.submit(plan, {0.5, 0.5}).get().status, Status::Ok);
+  // Warm the worker (plan state, snapshot load) with no deadline.
+  ASSERT_EQ(service.submit(plan, {0.5, 0.5}).get().status, Status::Ok);
 
-    Response resp = service.submit(plan, {0.5, 0.5}, 6.0).get();
-    EXPECT_EQ(resp.status, Status::Expired) << "interleave " << interleave;
-    EXPECT_NE(resp.error.find("during execution"), std::string::npos)
-        << resp.error;
-    EXPECT_GE(resp.latency_ms, 6.0);
-    const auto stats = service.stats();
-    EXPECT_EQ(stats.expired, 1u);
-    EXPECT_EQ(stats.completed, 1u); // only the warm-up completed
-  }
+  Response resp = service.submit(plan, {0.5, 0.5}, 6.0).get();
+  EXPECT_EQ(resp.status, Status::Expired);
+  EXPECT_NE(resp.error.find("during execution"), std::string::npos)
+      << resp.error;
+  EXPECT_GE(resp.latency_ms, 6.0);
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.expired, 1u);
+  EXPECT_EQ(stats.completed, 1u); // only the warm-up completed
 }
 
 TEST(ServeService, CoalescesSamePlanRequests) {
@@ -864,6 +850,88 @@ TEST(ServeService, CoalescesSamePlanRequests) {
   // exact batch shapes depend on timing.
   EXPECT_LE(stats.batches, 17u);
   EXPECT_GT(stats.mean_batch(), 0.99);
+}
+
+TEST(ServeService, CoalescedBatchAnswersEachRequestBitwise) {
+  // Requests for distinct points queue behind a slow one and are coalesced
+  // into one batch; each must still answer bitwise like the brute-force scan
+  // of the view it was served at, for a pruned (k-NN) and an unpruned (KDE)
+  // plan alike.
+  ServiceOptions options;
+  options.workers = 1;
+  options.max_batch = 64;
+  options.capture_view = true;
+  PortalService service(options);
+  const Dataset data = make_gaussian_mixture(200, 3, 3, 41);
+  service.publish(data);
+  PlanHandle slow = slow_plan(service);
+  const PlanHandle knn =
+      service.prepare({PortalOp::KARGMIN, 3}, PortalFunc::EUCLIDEAN);
+  const PlanHandle kde = service.prepare(PortalOp::SUM, PortalFunc::gaussian(0.7));
+
+  const Dataset queries = make_gaussian_mixture(12, 3, 3, 42);
+  std::future<Response> held = service.submit(slow, {0.5, 0.5, 0.5});
+  std::vector<std::pair<PlanHandle, std::vector<real_t>>> requests;
+  std::vector<std::future<Response>> futures;
+  for (const PlanHandle& plan : {knn, kde}) {
+    for (index_t i = 0; i < queries.size(); ++i) {
+      requests.emplace_back(plan, query_point(queries, i));
+      futures.push_back(service.submit(plan, requests.back().second));
+    }
+  }
+  EXPECT_EQ(held.get().status, Status::Ok);
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    SCOPED_TRACE("request " + std::to_string(i));
+    const Response resp = futures[i].get();
+    ASSERT_EQ(resp.status, Status::Ok) << resp.error;
+    ASSERT_TRUE(resp.view);
+    expect_bitwise(resp.result,
+                   run_query_bruteforce(*requests[i].first, *resp.view,
+                                        requests[i].second.data()));
+  }
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.completed, futures.size() + 1);
+  EXPECT_LT(stats.batches, stats.completed);
+}
+
+TEST(ServeService, EngineErrorFailsOnlyItsOwnRequest) {
+  // Every request of a coalesced batch runs its own descent, so a kernel
+  // that throws for one query point fails that request alone; its
+  // batch-mates (same plan, same pinned view) still answer Ok.
+  ServiceOptions options;
+  options.workers = 1;
+  PortalService service(options);
+  service.publish(make_uniform(16, 2, 3));
+  PlanHandle slow = slow_plan(service);
+  LayerSpec inner;
+  inner.op = PortalOp::SUM;
+  inner.external = [](const real_t* q, const real_t* r, index_t dim) {
+    if (q[0] < 0) throw std::runtime_error("kernel rejects negative queries");
+    real_t sum = 0;
+    for (index_t d = 0; d < dim; ++d) sum += (q[d] - r[d]) * (q[d] - r[d]);
+    return sum;
+  };
+  inner.external_label = "picky_kernel";
+  PlanHandle picky = service.prepare(std::move(inner));
+
+  // The slow request holds the worker while the others queue behind it.
+  std::vector<std::future<Response>> futures;
+  futures.push_back(service.submit(slow, {0.5, 0.5}));
+  for (int i = 0; i < 8; ++i)
+    futures.push_back(
+        service.submit(picky, {i == 3 ? real_t(-0.5) : real_t(0.5), 0.5}));
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    const Response resp = futures[i].get();
+    if (i == 4) {
+      EXPECT_EQ(resp.status, Status::Error);
+      EXPECT_NE(resp.error.find("negative"), std::string::npos) << resp.error;
+    } else {
+      EXPECT_EQ(resp.status, Status::Ok) << "request " << i << ": " << resp.error;
+    }
+  }
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.errors, 1u);
+  EXPECT_EQ(stats.completed, 8u);
 }
 
 // ---------------------------------------------------------------------------
@@ -1084,42 +1152,38 @@ TEST(ServeIngest, EndpointsMutateAndReport) {
 }
 
 TEST(ServeIngest, InsertedPointsAnswerQueriesThroughTheScheduler) {
-  for (const bool interleave : {true, false}) {
-    SCOPED_TRACE(interleave ? "interleaved" : "recursive");
-    ServiceOptions options;
-    options.workers = 2;
-    options.interleave = interleave;
-    options.delta_capacity = 64;
-    options.merge_threshold = 64;
-    options.background_merge = false;
-    options.capture_view = true;
-    PortalService service(options);
-    const Dataset data = make_uniform(80, 3, 22);
-    service.publish(data);
-    const PlanHandle plan =
-        service.prepare({PortalOp::KARGMIN, 2}, PortalFunc::EUCLIDEAN);
+  ServiceOptions options;
+  options.workers = 2;
+  options.delta_capacity = 64;
+  options.merge_threshold = 64;
+  options.background_merge = false;
+  options.capture_view = true;
+  PortalService service(options);
+  const Dataset data = make_uniform(80, 3, 22);
+  service.publish(data);
+  const PlanHandle plan =
+      service.prepare({PortalOp::KARGMIN, 2}, PortalFunc::EUCLIDEAN);
 
-    const Dataset extra = make_uniform(10, 3, 23);
-    for (index_t i = 0; i < extra.size(); ++i) {
-      std::vector<real_t> pt(3);
-      for (index_t d = 0; d < 3; ++d) pt[d] = extra.coord(i, d);
-      const auto ins = service.insert(pt);
-      ASSERT_EQ(ins.status, serve::IngestStatus::Ok);
-      // A query at the inserted point finds it at distance exactly zero,
-      // reported under its client id, and replays bitwise against the
-      // oracle on the response's own pinned view.
-      const Response resp = service.submit(plan, pt).get();
-      ASSERT_EQ(resp.status, Status::Ok);
-      ASSERT_TRUE(resp.view);
-      EXPECT_GE(resp.watermark, ins.seq);
-      expect_bitwise(resp.result,
-                     run_query_bruteforce(*plan, *resp.view, pt.data()));
-      EXPECT_EQ(resp.result.values[0], 0.0);
-      EXPECT_EQ(resp.result.ids[0], ins.id);
-    }
-    service.stop();
-    EXPECT_EQ(service.stats().errors, 0u);
+  const Dataset extra = make_uniform(10, 3, 23);
+  for (index_t i = 0; i < extra.size(); ++i) {
+    std::vector<real_t> pt(3);
+    for (index_t d = 0; d < 3; ++d) pt[d] = extra.coord(i, d);
+    const auto ins = service.insert(pt);
+    ASSERT_EQ(ins.status, serve::IngestStatus::Ok);
+    // A query at the inserted point finds it at distance exactly zero,
+    // reported under its client id, and replays bitwise against the
+    // oracle on the response's own pinned view.
+    const Response resp = service.submit(plan, pt).get();
+    ASSERT_EQ(resp.status, Status::Ok);
+    ASSERT_TRUE(resp.view);
+    EXPECT_GE(resp.watermark, ins.seq);
+    expect_bitwise(resp.result,
+                   run_query_bruteforce(*plan, *resp.view, pt.data()));
+    EXPECT_EQ(resp.result.values[0], 0.0);
+    EXPECT_EQ(resp.result.ids[0], ins.id);
   }
+  service.stop();
+  EXPECT_EQ(service.stats().errors, 0u);
 }
 
 /// The concurrent write/read wall. kWriters threads stream inserts and

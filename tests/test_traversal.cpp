@@ -478,6 +478,42 @@ TEST(SingleTraverse, BatchedKnnMatchesBruteForceAndDualTree) {
   }
 }
 
+TEST(SingleTraverse, ScoredKnnPrunesAndMatchesBruteForceAcrossLeafSizes) {
+  // Nearest-first descent at leaf sizes from one point per leaf to a few
+  // large tiles: the scored order must still find the exact neighbors, and
+  // the worst-distance bound must actually cut subtrees.
+  const Dataset query = make_gaussian_mixture(40, 3, 3, 75);
+  const Dataset reference = make_gaussian_mixture(211, 3, 3, 76);
+  const index_t k = 4;
+  const KnnResult brute = knn_bruteforce(query, reference, k);
+  for (const index_t leaf : {index_t(1), index_t(7), index_t(64)}) {
+    SCOPED_TRACE("leaf " + std::to_string(leaf));
+    const KdTree tree(reference, leaf);
+    std::vector<real_t> qpt(query.dim());
+    SingleKnnRules rules;
+    rules.tree = &tree;
+    rules.k = k;
+    rules.dists.resize(tree.stats().max_leaf_count);
+    std::uint64_t prunes = 0;
+    for (index_t i = 0; i < query.size(); ++i) {
+      query.copy_point(i, qpt.data());
+      rules.qpt = qpt.data();
+      rules.best_sq.clear();
+      rules.best_idx.clear();
+      const TraversalStats stats = single_traverse(tree, rules);
+      prunes += stats.prunes;
+      ASSERT_EQ(static_cast<index_t>(rules.best_idx.size()), k);
+      for (index_t j = 0; j < k; ++j) {
+        const std::size_t slot = static_cast<std::size_t>(i * k + j);
+        EXPECT_EQ(tree.perm()[rules.best_idx[static_cast<std::size_t>(j)]],
+                  brute.indices[slot])
+            << "query " << i << " rank " << j;
+      }
+    }
+    if (leaf < 64) EXPECT_GT(prunes, 0u);
+  }
+}
+
 TEST(SingleTraverse, BatchedKnnIsBitwiseEqualToScalar) {
   // Same descent, same leaves; only the base-case evaluation differs. The
   // batched tile kernel accumulates per lane in the same dimension order as
@@ -572,22 +608,35 @@ TEST(SingleTraverse, WorksOnOctrees) {
   rules.tree = &tree;
   single_traverse(tree, rules);
   EXPECT_EQ(rules.points, static_cast<std::uint64_t>(set.positions.size()));
+
+  // Ball trees descend through the same frontier.
+  const Dataset data = make_gaussian_mixture(400, 3, 3, 79);
+  const BallTree ball(data, 8);
+  struct BallCount {
+    const BallTree* tree = nullptr;
+    std::uint64_t points = 0;
+    bool prune_or_take(index_t) { return false; }
+    void base_case(index_t node) {
+      points += static_cast<std::uint64_t>(tree->node(node).count());
+    }
+  } ball_rules;
+  ball_rules.tree = &ball;
+  single_traverse(ball, ball_rules);
+  EXPECT_EQ(ball_rules.points, static_cast<std::uint64_t>(data.size()));
 }
 
 } // namespace
 } // namespace portal
 
 // ---------------------------------------------------------------------------
-// Resumable traversal (traversal/cursor.h): NodeFrontier bound safety and
-// TraversalCursor parity with the run-to-completion oracle.
+// The descent frontier (NodeFrontier, traversal/singletree.h): bound safety
+// on degenerate trees, leaf order, and reentrancy of single_traverse.
 #include <thread>
-
-#include "traversal/cursor.h"
 
 namespace portal {
 namespace {
 
-TEST(CursorFrontier, GrowsPastInlineCapacityAndStaysLifo) {
+TEST(NodeFrontier, GrowsPastInlineCapacityAndStaysLifo) {
   NodeFrontier frontier;
   const index_t n = NodeFrontier::kInlineCapacity * 5 + 3;
   for (index_t i = 0; i < n; ++i) frontier.push(i);
@@ -598,6 +647,33 @@ TEST(CursorFrontier, GrowsPastInlineCapacityAndStaysLifo) {
     ASSERT_EQ(frontier.pop(), i);
   }
   EXPECT_TRUE(frontier.empty());
+}
+
+TEST(NodeFrontier, SpillCounterCountsEachGrowthOnce) {
+  obs::set_enabled(true);
+  obs::reset();
+  {
+    // Filling the inline buffer exactly never touches the heap.
+    NodeFrontier frontier;
+    for (index_t i = 0; i < NodeFrontier::kInlineCapacity; ++i)
+      frontier.push(i);
+    EXPECT_FALSE(frontier.spilled());
+  }
+  const std::uint64_t inline_spills =
+      obs::collect().counter("traversal/single/frontier_spills");
+  {
+    // 5 * 512 + 3 entries: capacity doubles 512 -> 1024 -> 2048 -> 4096.
+    NodeFrontier frontier;
+    for (index_t i = 0; i < NodeFrontier::kInlineCapacity * 5 + 3; ++i)
+      frontier.push(i);
+    EXPECT_TRUE(frontier.spilled());
+  }
+  const std::uint64_t spills =
+      obs::collect().counter("traversal/single/frontier_spills");
+  obs::set_enabled(false);
+  obs::reset();
+  EXPECT_EQ(inline_spills, 0u);
+  EXPECT_EQ(spills, 3u);
 }
 
 /// Degenerate externally-built tree: a right spine of `depth` internal nodes,
@@ -650,21 +726,20 @@ TEST(SingleTraverse, DeepDegenerateTreeDoesNotOverflowStack) {
   const index_t depth = NodeFrontier::kInlineCapacity + 88; // 600-node spine
   const ChainTree tree(depth);
   ChainCountRules rules;
+  obs::set_enabled(true);
+  obs::reset();
   const TraversalStats stats = single_traverse(tree, rules);
+  const std::uint64_t spills =
+      obs::collect().counter("traversal/single/frontier_spills");
+  obs::set_enabled(false);
+  obs::reset();
   // depth-1 pending leaves plus the terminal spine node.
   EXPECT_EQ(rules.leaves, static_cast<std::uint64_t>(depth));
   EXPECT_EQ(stats.base_cases, static_cast<std::uint64_t>(depth));
   EXPECT_EQ(stats.prunes, 0u);
-}
-
-TEST(CursorTraversal, FrontierSpillsOnDeepDegenerateTree) {
-  const index_t depth = NodeFrontier::kInlineCapacity + 88;
-  const ChainTree tree(depth);
-  ChainCountRules rules;
-  TraversalCursor<ChainTree, ChainCountRules> cursor(tree, rules);
-  while (cursor.resume(17) != CursorState::Done) continue;
-  EXPECT_TRUE(cursor.frontier().spilled());
-  EXPECT_EQ(rules.leaves, static_cast<std::uint64_t>(depth));
+  // ~600 pending entries outgrow the 512-entry inline buffer once; one
+  // doubling holds them.
+  EXPECT_EQ(spills, 1u);
 }
 
 TEST(SingleTraverse, DuplicateAndCollinearPointsAtLeafSizeOne) {
@@ -704,147 +779,73 @@ TEST(SingleTraverse, DuplicateAndCollinearPointsAtLeafSizeOne) {
   }
 }
 
-TEST(CursorTraversal, ScoredKnnBitwiseMatchesOracleAcrossResumeGrains) {
-  const Dataset query = make_gaussian_mixture(40, 3, 3, 75);
-  const Dataset reference = make_gaussian_mixture(211, 3, 3, 76);
-  const KdTree tree(reference, 8);
-  std::vector<real_t> qpt(query.dim());
-
-  for (const index_t grain : {index_t(1), index_t(7), index_t(64)}) {
-    for (index_t i = 0; i < query.size(); ++i) {
-      query.copy_point(i, qpt.data());
-
-      SingleKnnRules oracle;
-      oracle.tree = &tree;
-      oracle.qpt = qpt.data();
-      oracle.k = 4;
-      oracle.dists.resize(tree.stats().max_leaf_count);
-      const TraversalStats want = single_traverse(tree, oracle);
-
-      SingleKnnRules rules = oracle;
-      rules.best_sq.clear();
-      rules.best_idx.clear();
-      TraversalCursor<KdTree, SingleKnnRules> cursor(tree, rules);
-      std::uint64_t resumes = 0;
-      while (cursor.resume(grain) != CursorState::Done) ++resumes;
-      ASSERT_TRUE(cursor.done());
-
-      // Same visit order, same arithmetic: bitwise-identical results and
-      // identical traversal counters, at every suspension granularity.
-      EXPECT_EQ(rules.best_sq, oracle.best_sq) << "grain " << grain << " q " << i;
-      EXPECT_EQ(rules.best_idx, oracle.best_idx) << "grain " << grain << " q " << i;
-      EXPECT_EQ(cursor.stats().pairs_visited, want.pairs_visited);
-      EXPECT_EQ(cursor.stats().prunes, want.prunes);
-      EXPECT_EQ(cursor.stats().base_cases, want.base_cases);
-      if (grain == 1 && want.pairs_visited > 1)
-        EXPECT_GT(resumes, 0u) << "grain 1 must actually suspend mid-descent";
-    }
-  }
-}
-
-/// Unscored kd count rules (no score(): preorder, leaves ascending).
-struct KdUnscoredCount {
+/// Unscored kd rules that record the order their leaves are evaluated in.
+struct KdLeafOrder {
   const KdTree* tree = nullptr;
+  std::vector<index_t> begins;
   std::uint64_t points = 0;
   bool prune_or_take(index_t) { return false; }
   void base_case(index_t node) {
+    begins.push_back(tree->node(node).begin);
     points += static_cast<std::uint64_t>(tree->node(node).count());
   }
 };
 
-TEST(CursorTraversal, NextLeafDrainReproducesOracleInAscendingOrder) {
+TEST(SingleTraverse, UnscoredDescentEvaluatesLeavesInAscendingOrder) {
+  // Without score(), children are pushed right-to-left, so leaves run in
+  // ascending permuted order: the serving engine's bitwise SUM determinism
+  // relies on this (src/serve/engine.h).
   const Dataset reference = make_gaussian_mixture(300, 3, 3, 77);
   const KdTree tree(reference, 16);
-
-  KdUnscoredCount oracle;
-  oracle.tree = &tree;
-  const TraversalStats want = single_traverse(tree, oracle);
-
-  KdUnscoredCount rules;
+  KdLeafOrder rules;
   rules.tree = &tree;
-  TraversalCursor<KdTree, KdUnscoredCount> cursor(tree, rules);
-  index_t prev_begin = -1;
-  std::uint64_t yielded = 0;
-  for (index_t leaf = cursor.next_leaf(); leaf >= 0; leaf = cursor.next_leaf()) {
-    ++yielded;
-    // The host caller owns the base case: run it, as a device queue would
-    // consume the yielded leaf tile.
-    rules.base_case(leaf);
-    // Unscored descent: leaves yield in ascending permuted order (the
-    // serving engine's SUM determinism relies on this).
-    EXPECT_GT(tree.node(leaf).begin, prev_begin);
-    prev_begin = tree.node(leaf).begin;
-  }
-  EXPECT_TRUE(cursor.done());
-  EXPECT_EQ(yielded, want.base_cases);
-  EXPECT_EQ(rules.points, oracle.points);
-  EXPECT_EQ(cursor.stats().pairs_visited, want.pairs_visited);
-  EXPECT_EQ(cursor.stats().base_cases, want.base_cases);
+  const TraversalStats stats = single_traverse(tree, rules);
+  EXPECT_EQ(rules.points, static_cast<std::uint64_t>(reference.size()));
+  EXPECT_EQ(rules.begins.size(), stats.base_cases);
+  EXPECT_EQ(stats.base_cases,
+            static_cast<std::uint64_t>(tree.stats().num_leaves));
+  for (std::size_t i = 1; i < rules.begins.size(); ++i)
+    EXPECT_GT(rules.begins[i], rules.begins[i - 1]) << "leaf " << i;
 }
 
-TEST(CursorTraversal, WorksOnOctreesAndBallTrees) {
-  const ParticleSet set = make_elliptical(500, 78);
-  const Octree octree(set.positions, set.masses, 8);
-  struct OctCount {
-    const Octree* tree = nullptr;
-    std::uint64_t points = 0;
-    bool prune_or_take(index_t) { return false; }
-    void base_case(index_t node) {
-      points += static_cast<std::uint64_t>(tree->node(node).count());
-    }
-  } oct_rules;
-  oct_rules.tree = &octree;
-  TraversalCursor<Octree, OctCount> oct_cursor(octree, oct_rules);
-  while (oct_cursor.resume(9) != CursorState::Done) continue;
-  EXPECT_EQ(oct_rules.points, static_cast<std::uint64_t>(set.positions.size()));
-
-  const Dataset data = make_gaussian_mixture(400, 3, 3, 79);
-  const BallTree ball(data, 8);
-  struct BallCount {
-    const BallTree* tree = nullptr;
-    std::uint64_t points = 0;
-    bool prune_or_take(index_t) { return false; }
-    void base_case(index_t node) {
-      points += static_cast<std::uint64_t>(tree->node(node).count());
-    }
-  } ball_rules;
-  ball_rules.tree = &ball;
-  TraversalCursor<BallTree, BallCount> ball_cursor(ball, ball_rules);
-  while (ball_cursor.resume(9) != CursorState::Done) continue;
-  EXPECT_EQ(ball_rules.points, static_cast<std::uint64_t>(data.size()));
-}
-
-TEST(CursorTraversal, ReentrantAcrossThreads) {
+TEST(SingleTraverse, ReentrantAcrossThreads) {
+  // One shared immutable tree, one descent per thread: each concurrent
+  // answer (and its traversal counters) must equal the serial descent's.
   const Dataset query = make_gaussian_mixture(8, 3, 3, 80);
   const Dataset reference = make_gaussian_mixture(257, 3, 3, 81);
-  const KdTree tree(reference, 8); // shared, immutable
+  const KdTree tree(reference, 8);
+  const std::size_t nq = static_cast<std::size_t>(query.size());
+
+  std::vector<std::vector<real_t>> qpts(nq, std::vector<real_t>(query.dim()));
+  std::vector<SingleKnnRules> serial(nq);
+  std::vector<TraversalStats> serial_stats(nq);
+  for (std::size_t t = 0; t < nq; ++t) {
+    query.copy_point(static_cast<index_t>(t), qpts[t].data());
+    serial[t].tree = &tree;
+    serial[t].qpt = qpts[t].data();
+    serial[t].k = 3;
+    serial[t].dists.resize(tree.stats().max_leaf_count);
+    serial_stats[t] = single_traverse(tree, serial[t]);
+  }
 
   std::vector<std::thread> threads;
-  std::vector<int> ok(static_cast<std::size_t>(query.size()), 0);
-  for (index_t t = 0; t < query.size(); ++t) {
+  std::vector<int> ok(nq, 0);
+  for (std::size_t t = 0; t < nq; ++t) {
     threads.emplace_back([&, t] {
-      std::vector<real_t> qpt(query.dim());
-      query.copy_point(t, qpt.data());
-
-      SingleKnnRules oracle;
-      oracle.tree = &tree;
-      oracle.qpt = qpt.data();
-      oracle.k = 3;
-      oracle.dists.resize(tree.stats().max_leaf_count);
-      single_traverse(tree, oracle);
-
-      SingleKnnRules rules = oracle;
+      SingleKnnRules rules = serial[t];
       rules.best_sq.clear();
       rules.best_idx.clear();
-      TraversalCursor<KdTree, SingleKnnRules> cursor(tree, rules);
-      while (cursor.resume(5) != CursorState::Done) continue;
-      ok[static_cast<std::size_t>(t)] =
-          rules.best_sq == oracle.best_sq && rules.best_idx == oracle.best_idx;
+      const TraversalStats stats = single_traverse(tree, rules);
+      ok[t] = rules.best_sq == serial[t].best_sq &&
+              rules.best_idx == serial[t].best_idx &&
+              stats.pairs_visited == serial_stats[t].pairs_visited &&
+              stats.prunes == serial_stats[t].prunes &&
+              stats.base_cases == serial_stats[t].base_cases;
     });
   }
   for (std::thread& thread : threads) thread.join();
-  for (index_t t = 0; t < query.size(); ++t)
-    EXPECT_TRUE(ok[static_cast<std::size_t>(t)]) << "thread " << t;
+  for (std::size_t t = 0; t < nq; ++t)
+    EXPECT_TRUE(ok[t]) << "thread " << t;
 }
 
 } // namespace

@@ -104,8 +104,6 @@ struct Args {
                " [--workers W] [--clients C]\n"
                "           [--seconds S] [--mix knn,kde,rs] [--queue N] "
                "[--batch N] [--deadline MS]\n"
-               "           [--interleave 0|1] [--interleave-width N] "
-               "[--resume-steps N]\n"
                "           [--ingest-writers W] [--delta-capacity N] "
                "[--merge-threshold N]\n"
                "           [--dim D] [--approx] [--beam-width N]   "
@@ -350,12 +348,6 @@ int run_serve_bench(const Args& args) {
   options.default_deadline_ms = args.num("deadline", 0);
   options.block_on_full = true; // closed-loop clients: backpressure, not drops
   options.tau = args.num("tau", 0);
-  // --interleave=0 selects the recursive per-request baseline; default is
-  // the interleaved resumable-descent mode (docs/SERVING.md).
-  options.interleave = args.num("interleave", 1) != 0;
-  options.interleave_width =
-      static_cast<index_t>(args.num("interleave-width", 16));
-  options.resume_steps = static_cast<index_t>(args.num("resume-steps", 32));
   options.snapshot.leaf_size =
       static_cast<index_t>(args.num("leaf", kDefaultLeafSize));
   // Live-ingestion knobs (serve/live.h): --ingest-writers starts a writer
