@@ -268,7 +268,7 @@ int main(int argc, char** argv) {
              static_cast<double>(stats.ingest.merged_points), "count");
   }
 
-  // --- approximate high-dimensional serving (ISSUE PR-10): the nn-descent
+  // --- approximate high-dimensional serving: the exact k-NN
   // --- graph index (src/index, DESIGN.md Sec. 18) vs the exact tree descent
   // --- at d = 32, measured at the engine level so recall and per-query
   // --- latency are clean of scheduler noise. Both paths answer through the

@@ -656,6 +656,12 @@ std::shared_ptr<const KdTree> TreeCache::get(const Storage& storage,
   return it->second.tree; // racing builders converge on the first insert
 }
 
+void TreeCache::adopt(const Storage& storage, std::shared_ptr<const KdTree> tree) {
+  const auto key = std::make_pair(storage.identity(), tree->leaf_size());
+  std::lock_guard<std::mutex> lock(mutex_);
+  cache_.insert_or_assign(key, Entry{storage.shared_dataset(), std::move(tree)});
+}
+
 ExecutionResult execute_generic(const ProblemPlan& plan, const PortalConfig& config,
                                 const EvaluatorFns& eval, TreeCache* cache) {
   const LayerSpec& outer = plan.layers[0];

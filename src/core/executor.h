@@ -67,6 +67,10 @@ struct EvaluatorFns {
 class TreeCache {
  public:
   std::shared_ptr<const KdTree> get(const Storage& storage, index_t leaf_size);
+  /// Seed the cache with `tree`, already built over `storage`'s points at
+  /// tree->leaf_size(), so programs over `storage` at that leaf size reuse
+  /// it instead of building their own.
+  void adopt(const Storage& storage, std::shared_ptr<const KdTree> tree);
 
  private:
   struct Entry {

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/portal.h"
 #include "kernels/batch.h"
 #include "obs/trace.h"
 #include "util/threading.h"
@@ -18,8 +19,8 @@ namespace {
 /// accumulation), so this is a throughput knob only.
 constexpr index_t kGatherChunk = 128;
 
-/// splitmix64 finalizer -- the deterministic id stream behind the seeded
-/// random initialization.
+/// splitmix64 finalizer -- the deterministic stream behind the search-seed
+/// permutation.
 inline std::uint64_t mix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -27,20 +28,49 @@ inline std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-/// Per-thread build scratch: candidate pools, the gathered SIMD tile, and
-/// the scored list the row selection sorts. Reused across points.
+/// Build scratch for re-scoring one row: the query point, the gathered SIMD
+/// tile, and the scored list the row sort orders. Reused across points.
 struct BuildScratch {
   std::vector<real_t> qpt;
-  std::vector<index_t> blist;  // B(u) = adj(u) union rev(u)
   std::vector<index_t> pool;
   std::vector<real_t> tile;
   std::vector<real_t> tile_sq;
   std::vector<std::pair<real_t, index_t>> scored;
 };
 
+/// Runs Portal's all-kNN program over `data` (forall_q argmin^k_r ||q - r||,
+/// a self-join) on the pattern engine's dual-tree k-NN and returns the
+/// row-major n x k neighbour ids in original order. `tree`, when given, is
+/// a kd-tree already built over `data`; the program reuses it. Adds the
+/// point pairs the traversal evaluated to `*pair_evals`.
+std::vector<index_t> all_knn_ids(const Dataset& data, index_t k, bool parallel,
+                                 std::shared_ptr<const KdTree> tree,
+                                 std::uint64_t* pair_evals) {
+  const Storage points(data);
+  PortalExpr expr;
+  expr.addLayer(PortalOp::FORALL, points);
+  expr.addLayer({PortalOp::KARGMIN, k}, points, PortalFunc::EUCLIDEAN);
+  PortalConfig config;
+  // The pattern engine runs the pre-compiled dual-tree k-NN: a JIT compile
+  // (a system compiler run) never lands in a graph build, and recognition
+  // throws if this program ever stops matching the pattern.
+  config.engine = Engine::Pattern;
+  config.parallel = parallel;
+  if (tree) {
+    if (tree->data().size() != data.size() || tree->data().dim() != data.dim())
+      throw std::invalid_argument("KnnGraph: kd-tree does not match the dataset");
+    config.leaf_size = tree->leaf_size();
+    expr.treeCache()->adopt(points, std::move(tree));
+  }
+  expr.execute(config);
+  *pair_evals += expr.stats().pair_evals;
+  return expr.getOutput().output().indices;
+}
+
 } // namespace
 
-KnnGraph::KnnGraph(const Dataset& data, const KnnGraphOptions& options) {
+KnnGraph::KnnGraph(const Dataset& data, const KnnGraphOptions& options,
+                   std::shared_ptr<const KdTree> tree) {
   if (data.empty())
     throw std::invalid_argument("KnnGraph: empty dataset");
   const auto t0 = std::chrono::steady_clock::now();
@@ -53,166 +83,64 @@ KnnGraph::KnnGraph(const Dataset& data, const KnnGraphOptions& options) {
   degree_ = std::min<index_t>(std::max<index_t>(options.degree, 0), n - 1);
   const index_t K = degree_;
 
-  std::uint64_t total_updates = 0;
   std::uint64_t total_evals = 0;
-  index_t rounds = 0;
 
   if (K > 0) {
-    adj_.assign(static_cast<std::size_t>(n * K), -1);
-    adj_sq_.assign(static_cast<std::size_t>(n * K),
-                   std::numeric_limits<real_t>::max());
+    adj_.resize(static_cast<std::size_t>(n * K));
+    adj_sq_.resize(static_cast<std::size_t>(n * K));
+    const bool use_threads = options.parallel_build && !in_parallel_region();
 
-    const bool use_threads =
-        options.parallel_build && !in_parallel_region() && num_threads() > 1;
+    // Exact K+1 nearest per point, self included (K + 1 <= n).
+    std::vector<index_t> knn =
+        all_knn_ids(data_, K + 1, use_threads, std::move(tree), &total_evals);
 
-    // Evaluate every candidate in s.pool (deduped, u excluded) against u and
-    // keep the K smallest by (squared distance, id). Returns the number of
-    // slots that changed versus the previous row. Rows are sorted, so the
-    // positional id comparison is a set comparison.
-    const auto select_row = [&](index_t u, BuildScratch& s, index_t* row_ids,
-                                real_t* row_sq) -> index_t {
-      const index_t m = static_cast<index_t>(s.pool.size());
-      s.qpt.resize(static_cast<std::size_t>(dim));
-      data_.copy_point(u, s.qpt.data());
-      s.tile.resize(static_cast<std::size_t>(dim * kGatherChunk));
-      s.tile_sq.resize(static_cast<std::size_t>(kGatherChunk));
-      s.scored.clear();
-      s.scored.reserve(static_cast<std::size_t>(m));
-      for (index_t b = 0; b < m; b += kGatherChunk) {
-        const index_t w = std::min<index_t>(kGatherChunk, m - b);
-        const batch::Tile t =
-            batch::gather(mirror_.lanes(), mirror_.stride(), dim,
-                          s.pool.data() + b, w, s.tile.data(), kGatherChunk);
-        batch::sq_dists(t, s.qpt.data(), s.tile_sq.data());
-        for (index_t j = 0; j < w; ++j)
-          s.scored.emplace_back(s.tile_sq[static_cast<std::size_t>(j)],
-                                s.pool[static_cast<std::size_t>(b + j)]);
-      }
-      std::partial_sort(s.scored.begin(),
-                        s.scored.begin() + static_cast<std::ptrdiff_t>(K),
-                        s.scored.end());
-      index_t changed = 0;
-      for (index_t slot = 0; slot < K; ++slot) {
-        const auto& best = s.scored[static_cast<std::size_t>(slot)];
-        changed += row_ids[slot] == best.second ? 0 : 1;
-        row_ids[slot] = best.second;
-        row_sq[slot] = best.first;
-      }
-      return changed;
-    };
-
-    // Seeded random initialization: K distinct ids per point from the
-    // splitmix64 stream -- per-point independent, so serial and parallel
-    // agree bitwise.
-    std::uint64_t init_evals = 0;
+    // Each row: the K+1 ids minus the point itself -- or minus the last id
+    // when more than K+1 duplicates crowd the point out of its own list --
+    // re-scored through the gathered SIMD tile and sorted by (sq, id). The
+    // stored squared distances are then bitwise-equal to the scalar
+    // ascending-dimension accumulation, exactly what the exact engine and
+    // the search report for the same pair.
 #pragma omp parallel if (use_threads)
     {
       BuildScratch s;
-#pragma omp for schedule(static) reduction(+ : init_evals)
+      s.qpt.resize(static_cast<std::size_t>(dim));
+      s.tile.resize(static_cast<std::size_t>(dim * kGatherChunk));
+      s.tile_sq.resize(static_cast<std::size_t>(kGatherChunk));
+#pragma omp for schedule(static)
       for (index_t u = 0; u < n; ++u) {
-        s.pool.clear();
-        std::uint64_t t = 0;
-        while (static_cast<index_t>(s.pool.size()) < K) {
-          const std::uint64_t h =
-              mix64(options.seed ^
-                    (static_cast<std::uint64_t>(u) * 0x9e3779b97f4a7c15ULL) ^
-                    (t * 0xd1b54a32d192ed03ULL));
-          ++t;
-          const index_t c = static_cast<index_t>(h % static_cast<std::uint64_t>(n));
-          if (c == u ||
-              std::find(s.pool.begin(), s.pool.end(), c) != s.pool.end())
-            continue;
-          s.pool.push_back(c);
+        const index_t* ids = knn.data() + u * (K + 1);
+        s.pool.assign(ids, ids + K + 1);
+        const auto self = std::find(s.pool.begin(), s.pool.end(), u);
+        s.pool.erase(self != s.pool.end() ? self : s.pool.end() - 1);
+
+        data_.copy_point(u, s.qpt.data());
+        s.scored.clear();
+        for (index_t b = 0; b < K; b += kGatherChunk) {
+          const index_t w = std::min<index_t>(kGatherChunk, K - b);
+          const batch::Tile t =
+              batch::gather(mirror_.lanes(), mirror_.stride(), dim,
+                            s.pool.data() + b, w, s.tile.data(), kGatherChunk);
+          batch::sq_dists(t, s.qpt.data(), s.tile_sq.data());
+          for (index_t j = 0; j < w; ++j)
+            s.scored.emplace_back(s.tile_sq[static_cast<std::size_t>(j)],
+                                  s.pool[static_cast<std::size_t>(b + j)]);
         }
-        init_evals += static_cast<std::uint64_t>(s.pool.size());
-        select_row(u, s, adj_.data() + u * K, adj_sq_.data() + u * K);
+        std::sort(s.scored.begin(), s.scored.end());
+        for (index_t slot = 0; slot < K; ++slot) {
+          adj_[static_cast<std::size_t>(u * K + slot)] =
+              s.scored[static_cast<std::size_t>(slot)].second;
+          adj_sq_[static_cast<std::size_t>(u * K + slot)] =
+              s.scored[static_cast<std::size_t>(slot)].first;
+        }
       }
     }
-    total_evals += init_evals;
+    std::vector<index_t>().swap(knn);  // free the (K+1)-wide result now
+    total_evals += static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(K);
 
-    // Jacobi nn-descent rounds: every point rebuilds its own row from the
-    // previous round's graph. The reverse adjacency is materialized once per
-    // round in ascending-u order (capped at K entries per target), so the
-    // candidate pools -- and therefore the result -- are identical however
-    // the point loop is scheduled.
-    std::vector<index_t> next_adj(adj_.size());
-    std::vector<real_t> next_sq(adj_sq_.size());
-    std::vector<index_t> rev_cnt(static_cast<std::size_t>(n));
-    std::vector<index_t> rev_off(static_cast<std::size_t>(n) + 1);
-    std::vector<index_t> rev_ids;
-    std::vector<index_t> rev_cursor(static_cast<std::size_t>(n));
-    const std::uint64_t stop_below = static_cast<std::uint64_t>(
-        options.termination * static_cast<real_t>(n) * static_cast<real_t>(K));
-
-    for (index_t round = 0; round < options.max_rounds; ++round) {
-      std::fill(rev_cnt.begin(), rev_cnt.end(), index_t{0});
-      for (index_t u = 0; u < n; ++u)
-        for (index_t slot = 0; slot < K; ++slot) {
-          const index_t v = adj_[static_cast<std::size_t>(u * K + slot)];
-          if (rev_cnt[static_cast<std::size_t>(v)] < K)
-            ++rev_cnt[static_cast<std::size_t>(v)];
-        }
-      rev_off[0] = 0;
-      for (index_t v = 0; v < n; ++v)
-        rev_off[static_cast<std::size_t>(v) + 1] =
-            rev_off[static_cast<std::size_t>(v)] +
-            rev_cnt[static_cast<std::size_t>(v)];
-      rev_ids.resize(static_cast<std::size_t>(rev_off[static_cast<std::size_t>(n)]));
-      std::copy(rev_off.begin(), rev_off.end() - 1, rev_cursor.begin());
-      for (index_t u = 0; u < n; ++u)
-        for (index_t slot = 0; slot < K; ++slot) {
-          const index_t v = adj_[static_cast<std::size_t>(u * K + slot)];
-          index_t& cur = rev_cursor[static_cast<std::size_t>(v)];
-          if (cur < rev_off[static_cast<std::size_t>(v) + 1])
-            rev_ids[static_cast<std::size_t>(cur++)] = u;
-        }
-
-      std::uint64_t round_updates = 0;
-      std::uint64_t round_evals = 0;
-#pragma omp parallel if (use_threads)
-      {
-        BuildScratch s;
-#pragma omp for schedule(static) reduction(+ : round_updates, round_evals)
-        for (index_t u = 0; u < n; ++u) {
-          s.blist.clear();
-          const index_t* row = adj_.data() + u * K;
-          s.blist.insert(s.blist.end(), row, row + K);
-          for (index_t i = rev_off[static_cast<std::size_t>(u)];
-               i < rev_off[static_cast<std::size_t>(u) + 1]; ++i)
-            s.blist.push_back(rev_ids[static_cast<std::size_t>(i)]);
-
-          s.pool.assign(s.blist.begin(), s.blist.end());
-          for (const index_t v : s.blist) {
-            const index_t* vrow = adj_.data() + v * K;
-            s.pool.insert(s.pool.end(), vrow, vrow + K);
-            for (index_t i = rev_off[static_cast<std::size_t>(v)];
-                 i < rev_off[static_cast<std::size_t>(v) + 1]; ++i)
-              s.pool.push_back(rev_ids[static_cast<std::size_t>(i)]);
-          }
-          std::sort(s.pool.begin(), s.pool.end());
-          s.pool.erase(std::unique(s.pool.begin(), s.pool.end()), s.pool.end());
-          s.pool.erase(std::remove(s.pool.begin(), s.pool.end(), u),
-                       s.pool.end());
-
-          round_evals += static_cast<std::uint64_t>(s.pool.size());
-          std::copy(row, row + K, next_adj.data() + u * K);
-          round_updates += static_cast<std::uint64_t>(
-              select_row(u, s, next_adj.data() + u * K, next_sq.data() + u * K));
-        }
-      }
-      adj_.swap(next_adj);
-      adj_sq_.swap(next_sq);
-      ++rounds;
-      total_updates += round_updates;
-      total_evals += round_evals;
-      if (round_updates <= stop_below) break;
-    }
-
-    // Final reverse-edge CSR for the search (symmetrized expansion), capped
-    // at 2K per target, first occurrences in ascending-u order -- the same
-    // deterministic capping rule the rounds used.
+    // Reverse-edge CSR for the search (symmetrized expansion), capped at 2K
+    // per target, first occurrences in ascending-u order.
     const index_t rev_cap = 2 * K;
-    std::fill(rev_cnt.begin(), rev_cnt.end(), index_t{0});
+    std::vector<index_t> rev_cnt(static_cast<std::size_t>(n), 0);
     for (index_t u = 0; u < n; ++u)
       for (index_t slot = 0; slot < K; ++slot) {
         const index_t v = adj_[static_cast<std::size_t>(u * K + slot)];
@@ -226,7 +154,7 @@ KnnGraph::KnnGraph(const Dataset& data, const KnnGraphOptions& options) {
           rev_off_[static_cast<std::size_t>(v)] +
           rev_cnt[static_cast<std::size_t>(v)];
     rev_ids_.resize(static_cast<std::size_t>(rev_off_[static_cast<std::size_t>(n)]));
-    std::copy(rev_off_.begin(), rev_off_.end() - 1, rev_cursor.begin());
+    std::vector<index_t> rev_cursor(rev_off_.begin(), rev_off_.end() - 1);
     for (index_t u = 0; u < n; ++u)
       for (index_t slot = 0; slot < K; ++slot) {
         const index_t v = adj_[static_cast<std::size_t>(u * K + slot)];
@@ -287,15 +215,11 @@ KnnGraph::KnnGraph(const Dataset& data, const KnnGraphOptions& options) {
       if (find(i) == i) comp_reps_.push_back(i);  // ascending => min ids
   }
 
-  stats_.rounds = rounds;
-  stats_.updates = total_updates;
   stats_.dist_evals = total_evals;
   stats_.build_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   PORTAL_OBS_COUNT("index/graph/builds", 1);
-  PORTAL_OBS_COUNT("index/graph/build_rounds",
-                   static_cast<std::uint64_t>(rounds));
   PORTAL_OBS_COUNT("index/graph/build_dist_evals", total_evals);
   PORTAL_OBS_COUNT("index/graph/build_points", static_cast<std::uint64_t>(n));
 }

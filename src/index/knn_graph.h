@@ -1,72 +1,76 @@
-// Portal -- nn-descent k-NN graph index for approximate high-dimensional
+// Portal -- exact k-NN graph index for approximate high-dimensional
 // serving (DESIGN.md Sec. 18).
 //
 // kd/ball trees collapse toward brute force above d ~ 20, but the serving
 // workloads the paper targets reach d = 68. This module adds a fourth
 // spatial structure that trades a bounded, tunable amount of recall for
-// latency that stays flat in dimension: a k-nearest-neighbor graph built
-// with NN-Descent (Dong et al.) and queried with best-first beam search.
+// latency that stays flat in dimension: the exact k-nearest-neighbor graph,
+// queried with best-first beam search. Answers are exact in distance and
+// approximate only in completeness.
 //
 // The graph honors the same contracts the trees already do:
-//   * Deterministic seeded build: the parallel build is bitwise-identical
-//     to the serial one. Each nn-descent round is Jacobi-style -- every
-//     point recomputes its own adjacency row from the *previous* round's
-//     graph (forward neighbors, reverse neighbors, and their neighbors),
-//     so rows are written by exactly one thread and read-only elsewhere,
-//     and per-pair distances are independent FP computations.
-//   * SoA-mirror reuse: candidate distances run through the batched SIMD
-//     kernels (kernels/batch.h) over gathered dimension-major tiles. The
+//   * Built by Portal itself: the rows are the answer to the paper's
+//     all-kNN program (forall_q argmin^k_r ||x_q - x_r||, a self-join),
+//     run on the pattern engine's dual-tree k-NN. The build is
+//     deterministic at every thread count: the traversal forks only on
+//     query nodes, so each point's candidate list is filled by one task in
+//     the serial visiting order, and pruning only ever skips candidates
+//     farther than its final K-th distance.
+//   * SoA-mirror reuse: each row is re-scored through the batched SIMD
+//     kernels (kernels/batch.h) over a gathered dimension-major tile. The
 //     per-pair accumulation visits dimensions in ascending order, exactly
 //     like the scalar helpers, so every distance the graph reports is
 //     bitwise-equal to what the exact engine computes for the same pair.
 //   * Immutable after construction: a snapshot carries the graph alongside
-//     its trees (tree/snapshot.h) and publishes it with the same epoch
-//     pointer swap; any number of threads may search concurrently.
+//     its trees (tree/snapshot.h), builds it over the snapshot's own
+//     kd-tree, and publishes it with the same epoch pointer swap; any
+//     number of threads may search concurrently.
 //   * Observability: builds and queries emit index/graph/* counters and
 //     timers through the obs layer (docs/OBSERVABILITY.md).
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "data/dataset.h"
+#include "tree/kdtree.h"
 #include "tree/soa_mirror.h"
 #include "util/common.h"
 
 namespace portal {
 
-/// Build-time knobs. `degree` and `seed` shape the graph (two builds with
-/// equal options over equal data are bitwise-identical, parallel or not);
-/// the round limits only bound how close nn-descent gets to the true k-NN
-/// graph before stopping.
+/// Build-time knobs. `degree` fixes the rows; `seed` only shapes the
+/// search-seed permutation (the search's entry points), never a row. Two
+/// builds with equal options over equal data are bitwise-identical,
+/// parallel or not.
 struct KnnGraphOptions {
-  index_t degree = 20;     // adjacency row width (clamped to size - 1)
-  index_t max_rounds = 8;  // nn-descent refinement rounds after random init
-  /// Stop early once a round replaces fewer than termination * size * degree
-  /// neighbor slots (the classic nn-descent delta rule).
-  real_t termination = real_t(1e-3);
+  index_t degree = 20;  // adjacency row width (clamped to size - 1)
   std::uint64_t seed = 0x706f7274616cULL;
   bool parallel_build = true;
 };
 
 struct KnnGraphStats {
-  index_t rounds = 0;            // refinement rounds actually run
-  std::uint64_t updates = 0;     // adjacency slots replaced across rounds
-  std::uint64_t dist_evals = 0;  // pair distances evaluated by the build
+  index_t rounds = 0;            // always 0: the exact build has no rounds
+  std::uint64_t dist_evals = 0;  // point pairs evaluated by the build
   double build_seconds = 0;
 };
 
-/// Immutable approximate k-NN graph over a dataset, in *original* point
+/// Immutable exact k-NN graph over a dataset, in *original* point
 /// order (no permutation: neighbor ids and search results are client ids
 /// directly). Distances are squared Euclidean internally -- the structural
 /// ordering is identical for Euclidean, and the serve layer takes the sqrt
 /// at the edge exactly like the exact engine does.
 class KnnGraph {
  public:
-  /// Builds the graph. Throws std::invalid_argument on an empty dataset
-  /// (matching TreeSnapshot::build). A single-point dataset yields a valid
-  /// graph of degree 0.
-  explicit KnnGraph(const Dataset& data, const KnnGraphOptions& options = {});
+  /// Builds the graph. `tree`, when given, is a kd-tree already built over
+  /// `data` (the snapshot's); the all-kNN program runs on it instead of
+  /// building its own. Rows can differ with the tree only in which ids win
+  /// a tie at the K-th distance. Throws std::invalid_argument on an empty
+  /// dataset (matching TreeSnapshot::build) or a tree over other data. A
+  /// single-point dataset yields a valid graph of degree 0.
+  explicit KnnGraph(const Dataset& data, const KnnGraphOptions& options = {},
+                    std::shared_ptr<const KdTree> tree = nullptr);
 
   index_t size() const { return data_.size(); }
   index_t dim() const { return data_.dim(); }
@@ -75,6 +79,10 @@ class KnnGraph {
   const Dataset& data() const { return data_; }
   const SoaMirror& mirror() const { return mirror_; }
   const KnnGraphStats& stats() const { return stats_; }
+  /// The fixed search-seed permutation (a function of options.seed alone):
+  /// a search enters the graph at every component representative, then at
+  /// these ids in order until its beam is full.
+  const std::vector<index_t>& seed_order() const { return seed_order_; }
 
   /// Point i's neighbor ids / squared distances, ascending by
   /// (distance, id). Valid for i in [0, size()); degree() entries each.

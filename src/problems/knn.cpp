@@ -13,11 +13,14 @@
 namespace portal {
 namespace {
 
-/// Per-thread scratch: a contiguous copy of the current query point plus a
-/// distance buffer covering the largest reference leaf.
-struct KnnWorkspace {
+/// Per-thread scratch: a contiguous copy of the current query point, a
+/// distance buffer covering the largest reference leaf, and the thread's
+/// evaluated-pair count (cache-line aligned: the count is written per base
+/// case, next to other threads' slots).
+struct alignas(64) KnnWorkspace {
   std::vector<real_t> qpt;
   std::vector<real_t> dists;
+  std::uint64_t pair_evals = 0;
 };
 
 /// Dual-tree k-NN rule set (Sec. II-C instantiated for argmin^k):
@@ -53,6 +56,13 @@ class KnnRules {
     return dmin > node_bounds_[q].load();
   }
 
+  /// Point pairs evaluated so far, summed over the per-thread workspaces.
+  std::uint64_t pair_evals() const {
+    std::uint64_t total = 0;
+    for (const KnnWorkspace& ws : workspaces_) total += ws.pair_evals;
+    return total;
+  }
+
   real_t score(index_t q, index_t r) {
     return qtree_.node(q).box.min_dist(bound_metric(), rtree_.node(r).box);
   }
@@ -82,6 +92,7 @@ class KnnRules {
                          ws.qpt.data(), ws.dists.data());
           batch::count_scalar_tail(rcount);
         }
+        ws.pair_evals += static_cast<std::uint64_t>(rcount);
         for (index_t j = 0; j < rcount; ++j)
           list.insert(ws.dists[j], rnode.begin + j);
       }
@@ -162,6 +173,7 @@ KnnResult run_knn_dualtree(const Tree& qtree, const Tree& rtree,
   topt.parallel = options.parallel;
   topt.task_depth = options.task_depth;
   result.stats = dual_traverse(qtree, rtree, rules, topt);
+  result.stats.pair_evals = rules.pair_evals();
   finalize_distances(options.metric, result.distances);
   return result;
 }

@@ -40,6 +40,9 @@ struct TraversalStats {
   std::uint64_t pairs_visited = 0;  // node tuples examined
   std::uint64_t prunes = 0;         // tuples handled by Prune/Approximate
   std::uint64_t base_cases = 0;     // leaf tuples evaluated exactly
+  /// Point pairs whose distance a base case evaluated; counted by the k-NN
+  /// rules (problems/knn.cpp), 0 for rule sets that do not count them.
+  std::uint64_t pair_evals = 0;
   /// Wall-clock seconds of the traversal itself (set by dual_traverse and
   /// multi_traverse; excludes tree construction, whose cost lives in the
   /// tree's own stats). Gives callers the build vs. traverse time split.
@@ -49,6 +52,7 @@ struct TraversalStats {
     pairs_visited += other.pairs_visited;
     prunes += other.prunes;
     base_cases += other.base_cases;
+    pair_evals += other.pair_evals;
     elapsed_seconds += other.elapsed_seconds;
     return *this;
   }

@@ -33,8 +33,8 @@ std::shared_ptr<const TreeSnapshot> TreeSnapshot::build(
                                                    options.leaf_size);
   }
   if (options.build_graph)
-    snap->graph_ =
-        std::make_shared<const KnnGraph>(*snap->source_, options.graph);
+    snap->graph_ = std::make_shared<const KnnGraph>(*snap->source_,
+                                                    options.graph, snap->kd_);
   return snap;
 }
 

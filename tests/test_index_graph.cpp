@@ -1,11 +1,12 @@
-// Tests for the nn-descent k-NN graph index (src/index/knn_graph.h): seeded
-// build determinism (serial vs parallel bitwise), degenerate inputs, the
-// bitwise-distance contract of the gathered SIMD tiles, the beam-search
-// recall floor at the default width, and snapshot-swap consistency under
-// concurrent approximate readers. The IndexGraph* suites run in the ASan
-// and TSan CI jobs (the swap suite is the explicit
-// concurrent-reader-during-publish TSan step).
+// Tests for the exact k-NN graph index (src/index/knn_graph.h): rows equal
+// to the brute-force k-NN, build determinism (serial vs parallel and across
+// thread counts, bitwise), degenerate inputs, the bitwise-distance contract
+// of the gathered SIMD tiles, the beam-search recall floor at the default
+// width, and snapshot-swap consistency under concurrent approximate
+// readers. The IndexGraph* suites run in the ASan and TSan CI jobs (the
+// swap suite is the explicit concurrent-reader-during-publish TSan step).
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <algorithm>
 #include <atomic>
@@ -18,7 +19,9 @@
 
 #include "data/generators.h"
 #include "index/knn_graph.h"
+#include "obs/trace.h"
 #include "problems/common.h"
+#include "problems/knn.h"
 #include "serve/engine.h"
 #include "serve/plan_cache.h"
 #include "tree/snapshot.h"
@@ -48,6 +51,30 @@ std::vector<std::pair<real_t, index_t>> exact_knn_sq(const Dataset& data,
   return scored;
 }
 
+/// Points on a small integer grid: many exactly equal pair distances, so
+/// rows have ties at their K-th distance -- where a build that depended on
+/// visiting order would show it.
+Dataset make_grid_points(index_t n, index_t dim, std::uint64_t seed) {
+  Dataset data(n, dim);
+  Rng rng(seed);
+  for (index_t i = 0; i < n; ++i)
+    for (index_t d = 0; d < dim; ++d)
+      data.coord(i, d) = static_cast<real_t>(rng.uniform_index(5));
+  return data;
+}
+
+void expect_same_rows(const KnnGraph& a, const KnnGraph& b) {
+  ASSERT_EQ(a.size(), b.size());
+  ASSERT_EQ(a.degree(), b.degree());
+  for (index_t i = 0; i < a.size(); ++i)
+    for (index_t s = 0; s < a.degree(); ++s) {
+      EXPECT_EQ(a.neighbor_ids(i)[s], b.neighbor_ids(i)[s])
+          << "row " << i << " slot " << s;
+      EXPECT_EQ(a.neighbor_sq(i)[s], b.neighbor_sq(i)[s])
+          << "row " << i << " slot " << s;
+    }
+}
+
 TEST(IndexGraph, SeededBuildIsDeterministicSerialVsParallel) {
   const Dataset data = make_gaussian_mixture(1200, 12, 4, 77);
   KnnGraphOptions serial_opts;
@@ -57,39 +84,123 @@ TEST(IndexGraph, SeededBuildIsDeterministicSerialVsParallel) {
   const KnnGraph serial(data, serial_opts);
   const KnnGraph parallel(data, parallel_opts);
 
-  ASSERT_EQ(serial.degree(), parallel.degree());
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (index_t i = 0; i < serial.size(); ++i) {
-    for (index_t s = 0; s < serial.degree(); ++s) {
-      EXPECT_EQ(serial.neighbor_ids(i)[s], parallel.neighbor_ids(i)[s])
-          << "row " << i << " slot " << s;
-      EXPECT_EQ(serial.neighbor_sq(i)[s], parallel.neighbor_sq(i)[s])
-          << "row " << i << " slot " << s;
-    }
-  }
-  // Same options, second build: also bitwise (the seed fully determines the
-  // graph).
+  expect_same_rows(serial, parallel);
+  // Same options, second build: also bitwise.
   const KnnGraph again(data, parallel_opts);
-  for (index_t i = 0; i < serial.size(); ++i)
-    for (index_t s = 0; s < serial.degree(); ++s)
-      EXPECT_EQ(serial.neighbor_ids(i)[s], again.neighbor_ids(i)[s]);
+  expect_same_rows(serial, again);
 }
 
-TEST(IndexGraph, SeedChangesTheInitialGraphDeterministically) {
+// The build is exact: every row holds the K nearest other points, with
+// squared distances bitwise-equal to the brute-force scan's. Ids match slot
+// for slot below the row's K-th distance; a tie at the K-th distance may
+// resolve to any of the tied ids (the bitwise distances pin those down).
+TEST(IndexGraph, RowsAreTheExactKnn) {
+  Dataset mixture = make_gaussian_mixture(600, 20, 3, 9);
+  for (index_t i = 0; i < 10; ++i)  // exact duplicates: zero-distance ties
+    for (index_t d = 0; d < mixture.dim(); ++d)
+      mixture.coord(300 + i, d) = mixture.coord(i, d);
+  for (const Dataset& data : {mixture, make_grid_points(500, 3, 17)}) {
+    const KnnGraph graph(data, {});
+    const index_t K = graph.degree();
+    ASSERT_EQ(K, 20);
+    const KnnResult brute =
+        knn_bruteforce(data, data, K + 1, MetricKind::SqEuclidean);
+    for (index_t u = 0; u < data.size(); ++u) {
+      std::vector<std::pair<real_t, index_t>> want;
+      for (index_t j = 0; j <= K; ++j)
+        want.emplace_back(brute.distances[static_cast<std::size_t>(u * (K + 1) + j)],
+                          brute.indices[static_cast<std::size_t>(u * (K + 1) + j)]);
+      const auto self = std::find_if(want.begin(), want.end(),
+                                     [u](const auto& w) { return w.second == u; });
+      want.erase(self != want.end() ? self : want.end() - 1);
+      const real_t kth = want.back().first;
+      for (index_t s = 0; s < K; ++s) {
+        const auto& w = want[static_cast<std::size_t>(s)];
+        EXPECT_EQ(graph.neighbor_sq(u)[s], w.first) << "row " << u << " slot " << s;
+        if (w.first < kth) {
+          EXPECT_EQ(graph.neighbor_ids(u)[s], w.second)
+              << "row " << u << " slot " << s;
+        }
+      }
+    }
+  }
+}
+
+// The exact build has no thread-count dependence: the dual-tree traversal
+// forks on query nodes only, so each point's candidate list fills in the
+// serial order. Grid data puts ties at the K-th distance to make any
+// order dependence visible.
+TEST(IndexGraph, SameGraphAtEveryThreadCount) {
+  const int saved_threads = omp_get_max_threads();
+  for (const Dataset& data : {make_gaussian_mixture(1500, 12, 4, 77),
+                              make_grid_points(1500, 3, 19)}) {
+    std::vector<KnnGraph> graphs;
+    for (const int threads : {1, 2, 4}) {
+      omp_set_num_threads(threads);
+      graphs.emplace_back(data, KnnGraphOptions{});
+    }
+    for (std::size_t g = 1; g < graphs.size(); ++g)
+      expect_same_rows(graphs.front(), graphs[g]);
+  }
+  omp_set_num_threads(saved_threads);
+}
+
+// A kd-tree handed in (the snapshot's) is reused by the all-kNN program; at
+// the default leaf size it is the tree the build would have made, so the
+// rows are the same. A tree over a dataset of another size is refused.
+TEST(IndexGraph, ReusesAGivenKdTree) {
+  const Dataset data = make_grid_points(800, 4, 23);
+  const KnnGraph own(data, {});
+  const auto tree = std::make_shared<const KdTree>(data);
+  obs::set_enabled(true);
+  obs::reset();
+  const KnnGraph reused(data, {}, tree);
+  const obs::TraceReport report = obs::collect();
+  obs::set_enabled(false);
+  obs::reset();
+  EXPECT_EQ(report.counter("tree/kd/builds"), 0u);  // no tree of its own
+  expect_same_rows(own, reused);
+  const Dataset other = make_grid_points(700, 4, 23);
+  EXPECT_THROW(KnnGraph(data, {}, std::make_shared<const KdTree>(other)),
+               std::invalid_argument);
+}
+
+// The build runs Portal's all-kNN program on the pattern engine: one
+// pattern dispatch, never a JIT compile.
+TEST(IndexGraph, BuildRunsThePatternEngineWithoutJit) {
+  const Dataset data = make_gaussian_mixture(500, 16, 3, 41);
+  obs::set_enabled(true);
+  obs::reset();
+  const KnnGraph graph(data, {});
+  const obs::TraceReport report = obs::collect();
+  obs::set_enabled(false);
+  obs::reset();
+  EXPECT_EQ(report.counter("pattern/dispatches"), 1u);
+  EXPECT_EQ(report.counter("tree/kd/builds"), 1u);
+  EXPECT_EQ(report.counter("jit/artifact/compiles"), 0u);
+  EXPECT_EQ(report.counter("index/graph/builds"), 1u);
+}
+
+// The seed shapes only the search entry points: both permutations cover
+// every id, they differ, and no row changes.
+TEST(IndexGraph, SeedChangesSearchEntryPointsButNoRow) {
   const Dataset data = make_gaussian_mixture(400, 8, 3, 5);
   KnnGraphOptions a;
   a.seed = 1;
-  a.max_rounds = 0; // compare the seeded initialization directly
   KnnGraphOptions b;
   b.seed = 2;
-  b.max_rounds = 0;
   const KnnGraph ga(data, a);
   const KnnGraph gb(data, b);
-  bool any_diff = false;
-  for (index_t i = 0; i < ga.size() && !any_diff; ++i)
-    for (index_t s = 0; s < ga.degree() && !any_diff; ++s)
-      any_diff = ga.neighbor_ids(i)[s] != gb.neighbor_ids(i)[s];
-  EXPECT_TRUE(any_diff);
+  expect_same_rows(ga, gb);
+  EXPECT_NE(ga.seed_order(), gb.seed_order());
+  for (const KnnGraph* g : {&ga, &gb}) {
+    std::vector<index_t> ids = g->seed_order();
+    std::sort(ids.begin(), ids.end());
+    for (index_t i = 0; i < data.size(); ++i)
+      EXPECT_EQ(ids[static_cast<std::size_t>(i)], i);
+  }
+  // Same seed, same entry points.
+  EXPECT_EQ(ga.seed_order(), KnnGraph(data, a).seed_order());
 }
 
 TEST(IndexGraph, RowsAreSortedValidAndBitwiseExact) {
@@ -149,15 +260,44 @@ TEST(IndexGraph, DegenerateInputs) {
     }
   }
 
+  // A row never lists its own id, nor any id twice -- also when more than
+  // degree + 1 copies of a point crowd it out of its own exact k-NN list.
+  const auto expect_clean_rows = [](const KnnGraph& g) {
+    for (index_t i = 0; i < g.size(); ++i) {
+      std::vector<index_t> row(g.neighbor_ids(i), g.neighbor_ids(i) + g.degree());
+      EXPECT_EQ(std::find(row.begin(), row.end(), i), row.end())
+          << "self loop in row " << i;
+      std::sort(row.begin(), row.end());
+      EXPECT_EQ(std::unique(row.begin(), row.end()), row.end())
+          << "repeated id in row " << i;
+    }
+  };
+
   // All-duplicate points: zero distances everywhere, ties resolve by id,
   // build terminates, search returns valid distinct ids.
   Dataset dup(64, 6);
   for (index_t i = 0; i < dup.size(); ++i)
     for (index_t d = 0; d < dup.dim(); ++d) dup.coord(i, d) = real_t(1.5);
   const KnnGraph gd(dup, {});
+  ASSERT_EQ(gd.degree(), 20);
+  expect_clean_rows(gd);
   for (index_t i = 0; i < gd.size(); ++i)
     for (index_t s = 0; s < gd.degree(); ++s)
       EXPECT_EQ(gd.neighbor_sq(i)[s], real_t{0});
+
+  // One point repeated 30 times (> degree + 1 = 21) among distinct points:
+  // each copy's row is 20 other copies at distance 0.
+  Dataset crowd = make_gaussian_mixture(200, 6, 3, 29);
+  for (index_t i = 1; i < 30; ++i)
+    for (index_t d = 0; d < crowd.dim(); ++d)
+      crowd.coord(i, d) = crowd.coord(0, d);
+  const KnnGraph gc(crowd, {});
+  expect_clean_rows(gc);
+  for (index_t i = 0; i < 30; ++i)
+    for (index_t s = 0; s < gc.degree(); ++s) {
+      EXPECT_EQ(gc.neighbor_sq(i)[s], real_t{0});
+      EXPECT_LT(gc.neighbor_ids(i)[s], 30);
+    }
   std::vector<real_t> dsq(10);
   std::vector<index_t> dids(10);
   ASSERT_EQ(gd.search(dup.row_ptr(0), 10, 16, scratch, dsq.data(), dids.data()),
@@ -279,8 +419,11 @@ TEST(IndexGraph, SmallBeamReachesEveryClusterOnHighDimData) {
 TEST(IndexGraph, BuildStatsArePopulated) {
   const Dataset data = make_gaussian_mixture(800, 16, 4, 55);
   const KnnGraph graph(data, {});
-  EXPECT_GT(graph.stats().rounds, 0);
-  EXPECT_GT(graph.stats().dist_evals, 0u);
+  EXPECT_EQ(graph.stats().rounds, 0);
+  // The traversal's evaluated pairs plus the n * degree row re-scores.
+  const std::uint64_t n = 800, rescored = n * 20;
+  EXPECT_GT(graph.stats().dist_evals, rescored);
+  EXPECT_LT(graph.stats().dist_evals, n * n + rescored);
   EXPECT_GE(graph.stats().build_seconds, 0.0);
 }
 

@@ -49,7 +49,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -110,9 +112,8 @@ struct Args {
                "high-d data + approximate serving\n"
                "       portal_cli index [--reference F | --demo N[,DIM]] "
                "[--dim D] [--degree K]\n"
-               "           [--rounds R] [--seed S] [--k K] [--beam-width N] "
-               "[--serial]\n"
-               "           build the nn-descent k-NN graph, print build "
+               "           [--seed S] [--k K] [--beam-width N] [--serial]\n"
+               "           build the exact k-NN graph, print build "
                "stats + recall/latency probe\n"
                "       portal_cli run FILE.portal | verify FILE.portal "
                "[--werror]\n"
@@ -120,8 +121,49 @@ struct Args {
                "       portal_cli cache inspect|purge [--dir D]   JIT artifact"
                " cache (default dir: $PORTAL_JIT_CACHE_DIR)\n"
                "       portal_cli --dump-golden=DIR   regenerate "
-               "tests/golden/*.csv\n");
+               "tests/golden/*.csv\n"
+               "       (each subcommand rejects options it does not read)\n");
   std::exit(1);
+}
+
+/// The option keys each subcommand reads (--trace, handled in main, is
+/// accepted everywhere). Any other key is a usage error, so a misspelt or
+/// removed flag fails loudly instead of being silently ignored. Returns
+/// nullptr for an unknown subcommand.
+const std::set<std::string>* subcommand_keys(const std::string& problem) {
+  // config_from() plus the output/dataset/report flags every problem
+  // subcommand shares.
+  const auto problem_keys = [](std::initializer_list<const char*> own) {
+    std::set<std::string> keys = {"out", "leaf", "tau", "theta", "engine",
+                                  "demo", "serial", "validate", "verify",
+                                  "no-verify-ir"};
+    keys.insert(own.begin(), own.end());
+    return keys;
+  };
+  static const std::map<std::string, std::set<std::string>> table = {
+      {"knn", problem_keys({"query", "reference", "k"})},
+      {"kde", problem_keys({"query", "reference", "sigma"})},
+      {"rs", problem_keys({"query", "reference", "lo", "hi"})},
+      {"twopoint", problem_keys({"data", "h"})},
+      {"threepoint", problem_keys({"data", "h"})},
+      {"hausdorff", problem_keys({"a", "b"})},
+      {"emst", problem_keys({"data"})},
+      {"bh", problem_keys({"data", "masses", "eps"})},
+      {"run", {"script", "no-verify-ir", "verify", "out"}},
+      {"verify", {"script", "no-verify-ir", "werror"}},
+      {"lint", {"script", "no-verify-ir", "json", "werror"}},
+      {"serve-bench",
+       {"reference", "demo", "dim", "workers", "clients", "seconds", "mix",
+        "queue", "batch", "deadline", "tau", "leaf", "ingest-writers",
+        "delta-capacity", "merge-threshold", "approx", "beam-width", "k",
+        "sigma", "lo", "hi"}},
+      {"index",
+       {"reference", "demo", "dim", "degree", "seed", "k", "beam-width",
+        "serial"}},
+      {"cache", {"script", "dir"}},
+  };
+  const auto it = table.find(problem);
+  return it == table.end() ? nullptr : &it->second;
 }
 
 Storage load(const Args& args, const std::string& key, std::uint64_t seed);
@@ -508,7 +550,7 @@ int run_serve_bench(const Args& args) {
   return 0;
 }
 
-/// `portal_cli index`: build the nn-descent k-NN graph (src/index, DESIGN.md
+/// `portal_cli index`: build the exact k-NN graph (src/index, DESIGN.md
 /// Sec. 18) over a dataset, print build stats, then probe recall@k and query
 /// latency against a linear-scan oracle at a few beam widths. This is the
 /// operator's view of the recall/latency tradeoff before flipping --approx
@@ -519,19 +561,16 @@ int run_index(const Args& args) {
 
   KnnGraphOptions gopt;
   gopt.degree = static_cast<index_t>(args.num("degree", 20));
-  gopt.max_rounds = static_cast<index_t>(args.num("rounds", 8));
   if (args.has("seed"))
     gopt.seed = static_cast<std::uint64_t>(args.num("seed", 0));
   if (args.has("serial")) gopt.parallel_build = false;
   const KnnGraph graph(data, gopt);
   const KnnGraphStats& gs = graph.stats();
-  std::printf("index: %lld points dim %lld, degree %lld | %lld rounds, "
-              "%llu updates, %llu dist evals | built in %.3fs\n",
+  std::printf("index: %lld points dim %lld, degree %lld | %llu dist evals "
+              "| built in %.3fs\n",
               static_cast<long long>(graph.size()),
               static_cast<long long>(graph.dim()),
               static_cast<long long>(graph.degree()),
-              static_cast<long long>(gs.rounds),
-              static_cast<unsigned long long>(gs.updates),
               static_cast<unsigned long long>(gs.dist_evals),
               gs.build_seconds);
 
@@ -650,6 +689,9 @@ int run(const Args& args) {
     if (args.problem == "lint") return run_lint(script, args);
     return run_script(script, args, args.problem == "verify");
   }
+  if (args.problem == "serve-bench") return run_serve_bench(args);
+  if (args.problem == "index") return run_index(args);
+  if (args.problem == "cache") return run_cache(args);
   const PortalConfig config = config_from(args);
   Timer timer;
 
@@ -792,10 +834,6 @@ int run(const Args& args) {
     return 0;
   }
 
-  if (args.problem == "serve-bench") return run_serve_bench(args);
-  if (args.problem == "index") return run_index(args);
-  if (args.problem == "cache") return run_cache(args);
-
   usage(("unknown problem '" + args.problem + "'").c_str());
 }
 
@@ -820,6 +858,13 @@ int main(int argc, char** argv) {
   }
   Args args;
   args.problem = argv[1];
+  const std::set<std::string>* keys = subcommand_keys(args.problem);
+  if (keys == nullptr) usage(("unknown problem '" + args.problem + "'").c_str());
+  const auto accept = [&](const std::string& key) {
+    if (key != "trace" && keys->count(key) == 0)
+      usage(("unknown option --" + key + " for '" + args.problem + "'").c_str());
+    return key;
+  };
   int first_option = 2;
   if ((args.problem == "run" || args.problem == "verify" ||
        args.problem == "lint" || args.problem == "cache") &&
@@ -832,10 +877,10 @@ int main(int argc, char** argv) {
     if (std::strncmp(arg, "--", 2) != 0) usage("options start with --");
     // --key=value form (required for optional-value flags like --trace).
     if (const char* eq = std::strchr(arg + 2, '=')) {
-      args.options[std::string(arg + 2, eq)] = eq + 1;
+      args.options[accept(std::string(arg + 2, eq))] = eq + 1;
       continue;
     }
-    const std::string key = arg + 2;
+    const std::string key = accept(arg + 2);
     if (key == "validate" || key == "serial" || key == "verify" ||
         key == "no-verify-ir" || key == "trace" || key == "json" ||
         key == "werror" || key == "approx") {
