@@ -548,8 +548,8 @@ KernelFacts compute_kernel_facts(const ProblemPlan& plan,
                 (kernel.normalized || ir_kernel_symmetric(kernel.kernel_ir));
 
   // Prune/approximation legality, the one source every engine reads
-  // (pattern.cpp, executor.cpp, serve/engine.cpp). The structural sweep
-  // above refines confidence, never these booleans.
+  // (pattern.cpp, rule_core.cpp). The structural sweep above refines
+  // confidence, never these booleans.
   f.reduction_prune_legal = plan.category == ProblemCategory::Pruning &&
                             kernel.normalized &&
                             kernel.shape != EnvelopeShape::Indicator &&

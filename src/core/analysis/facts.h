@@ -2,8 +2,9 @@
 //
 // One small, plain struct that rides on the compiled ProblemPlan (next to
 // the PR-5 IR fingerprint) so every consumer -- the pattern engine, the
-// generic executor, the serve rule sets, the lint pass, portal_cli -- reads
-// the same proven facts instead of re-deriving legality from syntax. The
+// rule core behind the executor and the serve engine, the lint pass,
+// portal_cli -- reads the same proven facts instead of re-deriving legality
+// from syntax. The
 // struct deliberately depends only on util/common.h: plan.h includes it, so
 // it must not pull core headers back in.
 #pragma once
@@ -72,7 +73,7 @@ struct KernelFacts {
   bool accum_associative = false;
 
   // Prune/approximation legality: the only source the engines consult
-  // (pattern recognition, the generic executor, the serve rule sets).
+  // (pattern recognition and the rule core both engines run).
   bool reduction_prune_legal = false; // comparative op + usable envelope
   bool indicator_prune_legal = false; // normalized indicator interval
   bool approx_legal = false;          // tau-approximation may fire

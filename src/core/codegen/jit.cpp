@@ -586,7 +586,9 @@ EvaluatorFns JitModule::evaluators() const {
   };
   if (envelope_ != nullptr) {
     const EnvelopeFn envelope = envelope_;
-    fns.envelope = [envelope](real_t d) { return envelope(d); };
+    fns.envelope = [envelope](const real_t* dists, index_t count, real_t* out) {
+      for (index_t j = 0; j < count; ++j) out[j] = envelope(dists[j]);
+    };
   }
   if (fused_batch_ != nullptr) {
     const BatchFn fused = fused_batch_;

@@ -28,7 +28,7 @@
 #include <string>
 
 #include "core/codegen/artifact_cache.h"
-#include "core/executor.h"
+#include "core/rule_core.h"
 #include "core/plan.h"
 
 namespace portal {
@@ -80,8 +80,8 @@ class JitModule {
   /// fresh compile (warm-start assertions).
   bool from_cache() const { return from_cache_; }
 
-  // Raw symbol access for the serve engine's per-query hot path (no
-  // std::function indirection). Null when the plan did not admit the entry.
+  // Raw symbol access (direct callers and tests; no std::function
+  // indirection). Null when the plan did not admit the entry.
   KernelFn kernel_fn() const { return kernel_; }
   EnvelopeFn envelope_fn() const { return envelope_; }
   /// Fused tile loop mirroring VmProgram::run_batch (opaque kernel per

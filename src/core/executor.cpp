@@ -7,81 +7,19 @@
 
 #include <omp.h>
 
-#include "kernels/batch.h"
 #include "obs/trace.h"
 #include "problems/common.h"
 #include "traversal/multitree.h"
-#include "util/log.h"
 #include "util/threading.h"
 #include "util/timer.h"
 
 namespace portal {
 namespace {
 
-struct InnerTraits {
-  index_t slots = 1;
-  real_t sense = 1; // +1 min-like, -1 max-like (reductions run in sense space)
-  bool is_reduction = false;
-  bool is_arg = false;
-  bool is_sum = false;
-  bool is_prod = false;
-  bool is_forall = false;
-  bool is_union = false;
-  bool is_unionarg = false;
-};
-
-InnerTraits inner_traits(const OpSpec& spec) {
-  InnerTraits t;
-  switch (spec.op) {
-    case PortalOp::SUM: t.is_sum = true; return t;
-    case PortalOp::PROD: t.is_prod = true; return t;
-    case PortalOp::FORALL: t.is_forall = true; return t;
-    case PortalOp::UNION: t.is_union = true; return t;
-    case PortalOp::UNIONARG: t.is_unionarg = true; return t;
-    default:
-      t.is_reduction = true;
-      t.is_arg = op_is_arg(spec.op);
-      t.sense = op_is_min_like(spec.op) ? real_t(1) : real_t(-1);
-      t.slots = op_category(spec.op) == OpCategory::Multi ? spec.k : 1;
-      return t;
-  }
-}
-
-/// Metric distances from one query point to a reference range, in the
-/// metric's *natural* space (true distance for Euclidean -- the envelope's
-/// input space).
-void natural_dists(MetricKind metric, const MahalanobisContext* maha,
-                   const Dataset& rdata, index_t rbegin, index_t rend,
-                   const real_t* qpt, real_t* out, real_t* scratch,
-                   real_t* rpt_buf) {
-  const index_t count = rend - rbegin;
-  switch (metric) {
-    case MetricKind::SqEuclidean:
-      sq_dists_to_range(rdata, rbegin, rend, qpt, out);
-      return;
-    case MetricKind::Euclidean:
-      sq_dists_to_range(rdata, rbegin, rend, qpt, out);
-      for (index_t j = 0; j < count; ++j) out[j] = std::sqrt(out[j]);
-      return;
-    case MetricKind::Manhattan:
-      l1_dists_to_range(rdata, rbegin, rend, qpt, out);
-      return;
-    case MetricKind::Chebyshev:
-      linf_dists_to_range(rdata, rbegin, rend, qpt, out);
-      return;
-    case MetricKind::Mahalanobis:
-      for (index_t j = 0; j < count; ++j) {
-        rdata.copy_point(rbegin + j, rpt_buf);
-        out[j] = maha->sq_dist(qpt, rpt_buf, scratch);
-      }
-      return;
-  }
-  throw std::logic_error("natural_dists: unhandled metric");
-}
-
-/// Per-query accumulation state. Reductions store sense-space values.
+/// Per-query accumulation state. Reductions store sense-space values in the
+/// selection space (reduction_output maps them back).
 struct QueryState {
-  InnerTraits traits;
+  OpTraits traits;
   index_t nq = 0;
   index_t forall_cols = 0;
   std::vector<real_t> values; // reductions: nq x slots; sum/prod: nq
@@ -89,7 +27,7 @@ struct QueryState {
   std::vector<std::vector<real_t>> union_values;
   std::vector<std::vector<index_t>> union_ids;
 
-  void init(const InnerTraits& t, index_t n, index_t nr) {
+  void init(const OpTraits& t, index_t n, index_t nr) {
     traits = t;
     nq = n;
     if (t.is_reduction) {
@@ -115,51 +53,70 @@ struct QueryState {
       union_ids.assign(n, {}); // unionarg ids; union also records ids for CSR
     }
   }
+
+  /// Fold the kernel values of query qi against references
+  /// [rbegin, rbegin + count) into its state, skipping references whose
+  /// label (rlabels, indexed like the references) equals qlabel >= 0.
+  void fold(index_t qi, index_t rbegin, index_t count, const real_t* vals,
+            index_t qlabel, const index_t* rlabels) {
+    const OpTraits& t = traits;
+    const auto excluded = [&](index_t rj) {
+      return qlabel >= 0 && rlabels[rj] == qlabel;
+    };
+    if (t.is_reduction) {
+      KnnList list(values.data() + qi * t.slots, ids.data() + qi * t.slots,
+                   t.slots);
+      for (index_t j = 0; j < count; ++j)
+        if (!excluded(rbegin + j)) list.insert(t.sense * vals[j], rbegin + j);
+    } else if (t.is_sum) {
+      real_t acc = 0;
+      for (index_t j = 0; j < count; ++j)
+        if (!excluded(rbegin + j)) acc += vals[j];
+      values[qi] += acc;
+    } else if (t.is_prod) {
+      real_t acc = 1;
+      for (index_t j = 0; j < count; ++j)
+        if (!excluded(rbegin + j)) acc *= vals[j];
+      values[qi] *= acc;
+    } else if (t.is_forall) {
+      for (index_t j = 0; j < count; ++j)
+        values[qi * forall_cols + rbegin + j] = vals[j];
+    } else { // union / unionarg: collect entries with non-zero kernel value
+      for (index_t j = 0; j < count; ++j) {
+        if (vals[j] == 0 || excluded(rbegin + j)) continue;
+        union_ids[qi].push_back(rbegin + j);
+        if (t.is_union) union_values[qi].push_back(vals[j]);
+      }
+    }
+  }
 };
 
-/// The generic dual-tree rule set: Algorithm 1 driven by the plan's category
-/// and the backend's evaluator.
+/// The generic dual-tree rule set: Algorithm 1 with the rule core's node
+/// decision and leaf evaluator. What stays here is the dual-tree shape:
+/// box-to-box node bounds, applying a decision to a whole query node, the
+/// per-node bound propagation and the label prune.
 class GenericRules {
  public:
   GenericRules(const ProblemPlan& plan, const PortalConfig& config,
-               const EvaluatorFns& eval, const KdTree& qtree, const KdTree& rtree,
+               const Evaluator& ev, const KdTree& qtree, const KdTree& rtree,
                QueryState& state)
       : plan_(plan),
-        config_(config),
-        eval_(eval),
+        ev_(ev),
         qtree_(qtree),
         rtree_(rtree),
         state_(state),
         traits_(state.traits),
-        metric_(plan.kernel.metric),
-        maha_(plan.kernel.maha.get()),
-        // Envelope classification consulted by the prune rules, read from
-        // the plan's KernelFacts (the one legality source).
-        identity_env_(plan.facts.envelope_identity),
-        indicator_env_(plan.facts.envelope_indicator),
         tau_(config.tau),
-        // Exact comparative reductions over L2 select in squared space (one
-        // sqrt per surviving slot at finish() instead of one per candidate)
-        // -- the same transform the expert k-NN kernel applies. Monotone, so
-        // prune decisions and the selected set are unchanged; VM and JIT
-        // share this rule set, so their bitwise pairing is preserved.
-        sq_select_(identity_env_ && traits_.is_reduction && traits_.sense > 0 &&
-                   metric_ == MetricKind::Euclidean &&
-                   plan.category == ProblemCategory::Pruning),
+        decides_(decides_nodes(plan.facts, traits_, tau_)),
         workspaces_(num_threads()) {
     const index_t dim = qtree.data().dim();
-    const index_t max_leaf = rtree.stats().max_leaf_count;
     for (Workspace& ws : workspaces_) {
       ws.qpt.resize(dim);
-      ws.rpt.resize(dim);
-      // 4*dim+4 covers point_distance gathers; the batched Mahalanobis solve
-      // works kMahaBlock lanes at a time and needs 2*dim*kMahaBlock.
-      ws.scratch.resize(std::max(4 * dim + 4, 2 * dim * batch::kMahaBlock));
-      ws.dists.resize(max_leaf);
-      ws.vals.resize(max_leaf);
+      ws.leaf.resize(dim, rtree.stats().max_leaf_count);
     }
-    batch_ = config.batch_base_cases && !rtree.mirror().empty();
-    if (plan.category == ProblemCategory::Pruning && traits_.is_reduction)
+    if (config.batch_base_cases && !rtree.mirror().empty())
+      mirror_ = &rtree.mirror();
+    if (plan.facts.reduction_prune_legal && traits_.is_reduction)
       bounds_ = std::vector<AtomicBound>(qtree.num_nodes());
     if (config.exclude_same_label != nullptr) {
       // Permute original-order labels into each tree's order.
@@ -178,148 +135,66 @@ class GenericRules {
   bool prune_or_approx(index_t q, index_t r) {
     const KdNode& qnode = qtree_.node(q);
     const KdNode& rnode = rtree_.node(r);
+    const bool labelled = !q_node_label_.empty();
 
     // Fully-same-label prune (MST's fully-connected condition).
-    if (!q_node_label_.empty() && q_node_label_[q] >= 0 &&
-        q_node_label_[q] == r_node_label_[r])
+    if (labelled && q_node_label_[q] >= 0 && q_node_label_[q] == r_node_label_[r])
       return true;
+    if (!decides_) return false;
 
-    switch (plan_.category) {
-      case ProblemCategory::Pruning: {
-        const real_t dmin = qnode.box.min_dist(select_metric(), rnode.box, maha_);
-        if (indicator_env_) {
-          const real_t lo = plan_.kernel.indicator_lo;
-          const real_t hi = plan_.kernel.indicator_hi;
-          const real_t dmax = qnode.box.max_dist(metric_, rnode.box, maha_);
-          if (traits_.is_reduction) {
-            // Comparative op over a 0/1 kernel (argmin of an indicator):
-            // zeros are candidates too, so distance-based cuts are unsound.
-            // Degenerate shape; evaluate exhaustively.
-            return false;
-          }
-          if (dmin >= hi || dmax <= lo) return true; // bulk reject
-          if (dmin > lo && dmax < hi && q_node_label_.empty()) {
-            bulk_accept(qnode, rnode);
-            return true;
-          }
-          return false;
-        }
-        // Comparative reduction with monotone envelope: prune when the best
-        // achievable sense-space value cannot beat the node bound. Under
-        // sq-space selection dmin was already computed squared below.
-        const real_t dmax = qnode.box.max_dist(select_metric(), rnode.box, maha_);
-        real_t emin, emax;
-        envelope_bounds(dmin, dmax, &emin, &emax);
-        const real_t pair_best = std::min(traits_.sense * emin, traits_.sense * emax);
-        return pair_best > bounds_[q].load();
-      }
-      case ProblemCategory::Approximation: {
-        if (!q_node_label_.empty()) return false; // stay exact under labels
-        const real_t dmin = qnode.box.min_dist(metric_, rnode.box, maha_);
-        const real_t dmax = qnode.box.max_dist(metric_, rnode.box, maha_);
-        real_t emin, emax;
-        envelope_bounds(dmin, dmax, &emin, &emax);
-        if (emax - emin > tau_) return false;
+    const real_t dmin = qnode.box.min_dist(ev_.metric, rnode.box, ev_.maha);
+    const real_t dmax = qnode.box.max_dist(ev_.metric, rnode.box, ev_.maha);
+    const real_t bound = bounds_.empty() ? 0 : bounds_[q].load();
+    switch (decide_node(plan_.facts, ev_, traits_, dmin, dmax, bound, tau_)) {
+      case NodeDecision::Descend:
+        return false;
+      case NodeDecision::Prune:
+        return true;
+      case NodeDecision::AcceptAll:
+        if (labelled) return false; // a same-label pair must not count
+        bulk_accept(qnode, rnode);
+        return true;
+      case NodeDecision::Approximate:
+        if (labelled) return false; // stay exact under labels
         apply_approx(qnode, rnode);
         return true;
-      }
-      case ProblemCategory::Exhaustive:
-        return false;
     }
     return false;
   }
 
   real_t score(index_t q, index_t r) {
-    return qtree_.node(q).box.min_dist(select_metric(), rtree_.node(r).box,
-                                       maha_);
-  }
-
-  /// Map sq-space reduction state back to natural distances (one sqrt per
-  /// surviving slot; the max() sentinel marks an unfilled slot and passes
-  /// through untouched).
-  void finish() {
-    if (!sq_select_) return;
-    for (real_t& v : state_.values)
-      if (v != std::numeric_limits<real_t>::max()) v = std::sqrt(v);
+    return qtree_.node(q).box.min_dist(ev_.metric, rtree_.node(r).box, ev_.maha);
   }
 
   void base_case(index_t q, index_t r) {
     const KdNode& qnode = qtree_.node(q);
     const KdNode& rnode = rtree_.node(r);
     Workspace& ws = workspaces_[omp_get_thread_num()];
-    const index_t rcount = rnode.count();
-    const index_t dim = qtree_.data().dim();
-    const bool normalized = plan_.kernel.normalized;
 
     real_t leaf_bound = bounds_.empty() ? 0 : std::numeric_limits<real_t>::lowest();
 
-    // Point-level prune applies to identity-envelope reductions over the L2
-    // family (k-NN / MST / Hausdorff): the expert kernels all carry it.
-    const bool point_prunable =
-        !bounds_.empty() && identity_env_ && traits_.sense > 0 &&
-        (metric_ == MetricKind::SqEuclidean || metric_ == MetricKind::Euclidean);
+    // Point-level prune for identity-envelope reductions over the squared
+    // L2 selection space (k-NN / MST / Hausdorff): the expert kernels all
+    // carry it.
+    const bool point_prunable = !bounds_.empty() && ev_.identity &&
+                                traits_.sense > 0 &&
+                                ev_.metric == MetricKind::SqEuclidean;
 
     for (index_t qi = qnode.begin; qi < qnode.end; ++qi) {
       qtree_.data().copy_point(qi, ws.qpt.data());
 
       if (point_prunable) {
         const real_t worst = state_.values[qi * traits_.slots + (traits_.slots - 1)];
-        real_t point_min = rnode.box.min_sq_dist_point(ws.qpt.data());
-        if (metric_ == MetricKind::Euclidean && !sq_select_)
-          point_min = std::sqrt(point_min);
-        if (point_min > worst) {
+        if (rnode.box.min_sq_dist_point(ws.qpt.data()) > worst) {
           leaf_bound = std::max(leaf_bound, worst);
           continue;
         }
       }
 
-      // Kernel values for this query against the whole reference leaf,
-      // tile-batched over the SoA mirror when the backend supports it.
-      const real_t* vals = ws.vals.data();
-      if (normalized && batch_ && eval_.leaf_values && !identity_env_) {
-        // Fused leaf loop (JIT backend): metric + envelope in one
-        // specialized pass, bitwise-equal to the generic pair below.
-        const SoaMirror& mirror = rtree_.mirror();
-        eval_.leaf_values(ws.qpt.data(), mirror.lanes(), mirror.stride(),
-                          rnode.begin, rcount, dim, ws.scratch.data(),
-                          ws.vals.data());
-        batch::count_batch_tile(rcount);
-      } else if (normalized) {
-        if (batch_) {
-          batch::natural_dists(select_metric(),
-                               rtree_.mirror().tile(rnode.begin, rcount),
-                               ws.qpt.data(), maha_, ws.scratch.data(),
-                               ws.dists.data());
-          batch::count_batch_tile(rcount);
-        } else {
-          natural_dists(select_metric(), maha_, rtree_.data(), rnode.begin,
-                        rnode.end, ws.qpt.data(), ws.dists.data(),
-                        ws.scratch.data(), ws.rpt.data());
-          batch::count_scalar_tail(rcount);
-        }
-        if (identity_env_) {
-          vals = ws.dists.data(); // envelope is the identity: no copy
-        } else {
-          for (index_t j = 0; j < rcount; ++j)
-            ws.vals[j] = eval_.envelope(ws.dists[j]);
-        }
-      } else if (batch_ && eval_.kernel_batch) {
-        const SoaMirror& mirror = rtree_.mirror();
-        eval_.kernel_batch(ws.qpt.data(), mirror.lanes(), mirror.stride(),
-                           rnode.begin, rcount, dim, ws.scratch.data(),
-                           ws.vals.data());
-        batch::count_batch_tile(rcount);
-      } else {
-        for (index_t j = 0; j < rcount; ++j) {
-          rtree_.data().copy_point(rnode.begin + j, ws.rpt.data());
-          ws.vals[j] = eval_.kernel_pair(ws.qpt.data(), ws.rpt.data(), dim,
-                                         ws.scratch.data());
-        }
-        batch::count_scalar_tail(rcount);
-      }
-
-      const index_t ql = q_labels_.empty() ? -1 : q_labels_[qi];
-      update_query(qi, rnode.begin, rcount, vals, ql);
+      const real_t* vals = leaf_values(ev_, rtree_.data(), mirror_, rnode.begin,
+                                       rnode.count(), ws.qpt.data(), ws.leaf);
+      state_.fold(qi, rnode.begin, rnode.count(), vals,
+                  q_labels_.empty() ? -1 : q_labels_[qi], r_labels_.data());
 
       if (!bounds_.empty()) {
         const real_t worst =
@@ -345,86 +220,8 @@ class GenericRules {
  private:
   struct Workspace {
     std::vector<real_t> qpt;
-    std::vector<real_t> rpt;
-    std::vector<real_t> scratch;
-    std::vector<real_t> dists;
-    std::vector<real_t> vals;
+    LeafScratch leaf;
   };
-
-  /// The space every comparison lives in: squared L2 under sq-space
-  /// selection, the plan metric otherwise. Mixing spaces would make the
-  /// bound propagation unsound, so every min_dist/max_dist/leaf distance
-  /// goes through this one switch.
-  MetricKind select_metric() const {
-    return sq_select_ ? MetricKind::SqEuclidean : metric_;
-  }
-
-  /// Bounds on the envelope over a distance interval. Monotone envelopes use
-  /// the endpoints; indicators need interval logic (endpoints under-cover).
-  void envelope_bounds(real_t dmin, real_t dmax, real_t* emin, real_t* emax) {
-    if (indicator_env_) {
-      const real_t lo = plan_.kernel.indicator_lo;
-      const real_t hi = plan_.kernel.indicator_hi;
-      *emax = (dmax <= lo || dmin >= hi) ? 0 : 1;
-      *emin = (dmin > lo && dmax < hi) ? 1 : 0;
-      return;
-    }
-    if (identity_env_) {
-      *emin = dmin;
-      *emax = dmax;
-      return;
-    }
-    const real_t a = eval_.envelope(dmin);
-    const real_t b = eval_.envelope(dmax);
-    *emin = std::min(a, b);
-    *emax = std::max(a, b);
-  }
-
-  /// Fold `count` kernel values for query `qi` into its state.
-  void update_query(index_t qi, index_t rbegin, index_t count, const real_t* vals,
-                    index_t qlabel) {
-    const InnerTraits& t = traits_;
-    if (t.is_reduction) {
-      KnnList list(state_.values.data() + qi * t.slots,
-                   state_.ids.data() + qi * t.slots, t.slots);
-      for (index_t j = 0; j < count; ++j) {
-        const index_t rj = rbegin + j;
-        if (qlabel >= 0 && r_labels_[rj] == qlabel) continue;
-        if (qi_is_self(qi, rj)) continue;
-        list.insert(t.sense * vals[j], rj);
-      }
-    } else if (t.is_sum) {
-      real_t acc = 0;
-      for (index_t j = 0; j < count; ++j) {
-        if (qlabel >= 0 && r_labels_[rbegin + j] == qlabel) continue;
-        acc += vals[j];
-      }
-      state_.values[qi] += acc;
-    } else if (t.is_prod) {
-      real_t acc = 1;
-      for (index_t j = 0; j < count; ++j) {
-        if (qlabel >= 0 && r_labels_[rbegin + j] == qlabel) continue;
-        acc *= vals[j];
-      }
-      state_.values[qi] *= acc;
-    } else if (t.is_forall) {
-      for (index_t j = 0; j < count; ++j)
-        state_.values[qi * state_.forall_cols + rbegin + j] = vals[j];
-    } else { // union / unionarg: collect entries with non-zero kernel value
-      for (index_t j = 0; j < count; ++j) {
-        if (vals[j] == 0) continue;
-        const index_t rj = rbegin + j;
-        if (qlabel >= 0 && r_labels_[rj] == qlabel) continue;
-        state_.union_ids[qi].push_back(rj);
-        if (t.is_union) state_.union_values[qi].push_back(vals[j]);
-      }
-    }
-  }
-
-  /// Self-pair exclusion is NOT applied generically: Portal's semantics match
-  /// the math (sum over all r includes r = q when the datasets coincide).
-  /// Hook kept for future modifiers.
-  bool qi_is_self(index_t, index_t) const { return false; }
 
   void bulk_accept(const KdNode& qnode, const KdNode& rnode) {
     PORTAL_OBS_COUNT("rules/bulk_accepts", 1);
@@ -440,29 +237,15 @@ class GenericRules {
       } else if (traits_.is_forall) {
         for (index_t rj = rnode.begin; rj < rnode.end; ++rj)
           state_.values[qi * state_.forall_cols + rj] = 1;
-      } else if (traits_.is_prod) {
-        // product of ones: no-op
-      }
+      } // prod: a product of ones is a no-op
     }
   }
 
   void apply_approx(const KdNode& qnode, const KdNode& rnode) {
     PORTAL_OBS_COUNT("rules/approximations", 1);
     Workspace& ws = workspaces_[omp_get_thread_num()];
-    // Center-to-center distance in the metric's natural space.
-    const index_t dim = qtree_.data().dim();
     qnode.box.center_point(ws.qpt.data());
-    rnode.box.center_point(ws.rpt.data());
-    real_t center;
-    if (metric_ == MetricKind::Mahalanobis) {
-      center = maha_->sq_dist(ws.qpt.data(), ws.rpt.data(), ws.scratch.data());
-    } else {
-      real_t d = point_distance(
-          metric_ == MetricKind::Euclidean ? MetricKind::SqEuclidean : metric_,
-          ws.qpt.data(), 1, ws.rpt.data(), 1, dim);
-      center = metric_ == MetricKind::Euclidean ? std::sqrt(d) : d;
-    }
-    const real_t value = identity_env_ ? center : eval_.envelope(center);
+    const real_t value = center_value(ev_, ws.qpt.data(), rnode.box, ws.leaf);
     const real_t rcount = static_cast<real_t>(rnode.count());
     for (index_t qi = qnode.begin; qi < qnode.end; ++qi) {
       if (traits_.is_sum) {
@@ -499,19 +282,14 @@ class GenericRules {
   }
 
   const ProblemPlan& plan_;
-  const PortalConfig& config_;
-  const EvaluatorFns& eval_;
+  const Evaluator& ev_;
   const KdTree& qtree_;
   const KdTree& rtree_;
   QueryState& state_;
-  InnerTraits traits_;
-  MetricKind metric_;
-  const MahalanobisContext* maha_;
-  bool identity_env_;
-  bool indicator_env_;
+  OpTraits traits_;
   real_t tau_;
-  bool sq_select_;
-  bool batch_ = false;
+  bool decides_;
+  const SoaMirror* mirror_ = nullptr; // null: scalar leaves
   std::vector<AtomicBound> bounds_;
   std::vector<index_t> q_labels_, r_labels_;
   std::vector<index_t> q_node_label_, r_node_label_;
@@ -520,11 +298,12 @@ class GenericRules {
 
 /// Assemble an OutputData from tree-order state (or original-order state when
 /// `perm_q`/`perm_r` are null -- the brute-force path).
-std::shared_ptr<OutputData> finalize(const ProblemPlan& plan, QueryState& state,
+std::shared_ptr<OutputData> finalize(const ProblemPlan& plan, const Evaluator& ev,
+                                     QueryState& state,
                                      const std::vector<index_t>* perm_q,
                                      const std::vector<index_t>* perm_r) {
   const LayerSpec& outer = plan.layers[0];
-  const InnerTraits t = state.traits;
+  const OpTraits t = state.traits;
   const index_t nq = state.nq;
   auto out = std::make_shared<OutputData>();
 
@@ -539,11 +318,8 @@ std::shared_ptr<OutputData> finalize(const ProblemPlan& plan, QueryState& state,
       if (t.is_arg) out->indices.assign(static_cast<std::size_t>(nq) * t.slots, -1);
       for (index_t i = 0; i < nq; ++i)
         for (index_t j = 0; j < t.slots; ++j) {
-          const real_t v = state.values[i * t.slots + j];
           out->values[qmap(i) * t.slots + j] =
-              v == std::numeric_limits<real_t>::max()
-                  ? std::numeric_limits<real_t>::quiet_NaN()
-                  : t.sense * v;
+              reduction_output(state.values[i * t.slots + j], t, ev);
           if (t.is_arg) {
             const index_t id = state.ids[i * t.slots + j];
             out->indices[qmap(i) * t.slots + j] = id >= 0 ? rmap(id) : -1;
@@ -573,24 +349,7 @@ std::shared_ptr<OutputData> finalize(const ProblemPlan& plan, QueryState& state,
         for (std::size_t s = 0; s < state.union_ids[i].size(); ++s)
           ids[oq].push_back(rmap(state.union_ids[i][s]));
         if (t.is_union) vals[oq] = state.union_values[i];
-        // Deterministic output: sort by reference index (values follow).
-        if (t.is_union) {
-          std::vector<std::size_t> order(ids[oq].size());
-          for (std::size_t s = 0; s < order.size(); ++s) order[s] = s;
-          std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-            return ids[oq][a] < ids[oq][b];
-          });
-          std::vector<index_t> sorted_ids(order.size());
-          std::vector<real_t> sorted_vals(order.size());
-          for (std::size_t s = 0; s < order.size(); ++s) {
-            sorted_ids[s] = ids[oq][order[s]];
-            sorted_vals[s] = vals[oq][order[s]];
-          }
-          ids[oq] = std::move(sorted_ids);
-          vals[oq] = std::move(sorted_vals);
-        } else {
-          std::sort(ids[oq].begin(), ids[oq].end());
-        }
+        sort_by_id(&ids[oq], t.is_union ? &vals[oq] : nullptr);
       }
       out->offsets.resize(nq + 1);
       out->offsets[0] = 0;
@@ -619,7 +378,7 @@ std::shared_ptr<OutputData> finalize(const ProblemPlan& plan, QueryState& state,
     real_t v = state.values[i * (t.is_reduction ? t.slots : 1)];
     if (t.is_reduction) {
       if (v == std::numeric_limits<real_t>::max()) continue; // no candidate
-      v = t.sense * v;
+      v = reduction_output(v, t, ev);
     }
     switch (outer.op.op) {
       case PortalOp::SUM: scalar += v; break;
@@ -682,20 +441,20 @@ ExecutionResult execute_generic(const ProblemPlan& plan, const PortalConfig& con
   result.tree_seconds = timer.elapsed_s();
 
   QueryState state;
-  state.init(inner_traits(inner.op), outer.storage.size(), inner.storage.size());
+  state.init(op_traits(inner.op), outer.storage.size(), inner.storage.size());
+  const Evaluator ev = make_evaluator(plan, state.traits, eval);
 
   timer.reset();
   PORTAL_OBS_SCOPE(traverse_scope, "executor/traversal");
-  GenericRules rules(plan, config, eval, *qtree, *rtree, state);
+  GenericRules rules(plan, config, ev, *qtree, *rtree, state);
   TraversalOptions topt;
   topt.parallel = config.parallel;
   topt.task_depth = config.task_depth;
   result.stats = dual_traverse(*qtree, *rtree, rules, topt);
-  rules.finish();
   traverse_scope.stop();
   result.traversal_seconds = timer.elapsed_s();
 
-  result.output = finalize(plan, state, &qtree->perm(), &rtree->perm());
+  result.output = finalize(plan, ev, state, &qtree->perm(), &rtree->perm());
   return result;
 }
 
@@ -711,76 +470,30 @@ ExecutionResult execute_bruteforce(const ProblemPlan& plan,
   const index_t dim = qdata.dim();
 
   QueryState state;
-  state.init(inner_traits(inner.op), nq, nr);
-  const InnerTraits t = state.traits;
-  const bool normalized = plan.kernel.normalized;
-  const MahalanobisContext* maha = plan.kernel.maha.get();
-  const bool identity_env = plan.facts.envelope_identity;
+  state.init(op_traits(inner.op), nq, nr);
+  const Evaluator ev = make_evaluator(plan, state.traits, eval);
   const std::vector<index_t>* labels = config.exclude_same_label;
 
   PORTAL_OBS_SCOPE(brute_scope, "executor/bruteforce");
   Timer timer;
 #pragma omp parallel if (config.parallel)
   {
-    std::vector<real_t> qpt(dim), rpt(dim), scratch(4 * dim + 4);
-    std::vector<real_t> dists(nr), vals(nr);
+    std::vector<real_t> qpt(dim);
+    LeafScratch leaf;
+    leaf.resize(dim, nr);
 #pragma omp for schedule(static)
     for (index_t i = 0; i < nq; ++i) {
       qdata.copy_point(i, qpt.data());
-      if (normalized) {
-        natural_dists(plan.kernel.metric, maha, rdata, 0, nr, qpt.data(),
-                      dists.data(), scratch.data(), rpt.data());
-        if (identity_env) {
-          for (index_t j = 0; j < nr; ++j) vals[j] = dists[j];
-        } else {
-          for (index_t j = 0; j < nr; ++j) vals[j] = eval.envelope(dists[j]);
-        }
-      } else {
-        for (index_t j = 0; j < nr; ++j) {
-          rdata.copy_point(j, rpt.data());
-          vals[j] = eval.kernel_pair(qpt.data(), rpt.data(), dim, scratch.data());
-        }
-      }
-      const index_t qlabel = labels ? (*labels)[i] : -1;
-
-      if (t.is_reduction) {
-        KnnList list(state.values.data() + i * t.slots,
-                     state.ids.data() + i * t.slots, t.slots);
-        for (index_t j = 0; j < nr; ++j) {
-          if (qlabel >= 0 && (*labels)[j] == qlabel) continue;
-          list.insert(t.sense * vals[j], j);
-        }
-      } else if (t.is_sum) {
-        real_t acc = 0;
-        for (index_t j = 0; j < nr; ++j) {
-          if (qlabel >= 0 && (*labels)[j] == qlabel) continue;
-          acc += vals[j];
-        }
-        state.values[i] = acc;
-      } else if (t.is_prod) {
-        real_t acc = 1;
-        for (index_t j = 0; j < nr; ++j) {
-          if (qlabel >= 0 && (*labels)[j] == qlabel) continue;
-          acc *= vals[j];
-        }
-        state.values[i] = acc;
-      } else if (t.is_forall) {
-        for (index_t j = 0; j < nr; ++j)
-          state.values[i * state.forall_cols + j] = vals[j];
-      } else {
-        for (index_t j = 0; j < nr; ++j) {
-          if (vals[j] == 0) continue;
-          if (qlabel >= 0 && (*labels)[j] == qlabel) continue;
-          state.union_ids[i].push_back(j);
-          if (t.is_union) state.union_values[i].push_back(vals[j]);
-        }
-      }
+      const real_t* vals =
+          leaf_values(ev, rdata, /*mirror=*/nullptr, 0, nr, qpt.data(), leaf);
+      state.fold(i, 0, nr, vals, labels ? (*labels)[i] : -1,
+                 labels ? labels->data() : nullptr);
     }
   }
 
   ExecutionResult result;
   result.traversal_seconds = timer.elapsed_s();
-  result.output = finalize(plan, state, nullptr, nullptr);
+  result.output = finalize(plan, ev, state, nullptr, nullptr);
   return result;
 }
 

@@ -3,55 +3,23 @@
 // Runs an analyzed ProblemPlan through the multi-tree traversal (Algorithm 1)
 // with *generic* reducers driven by the layer operators and a kernel
 // evaluator supplied by the backend (bytecode for the VM engine, dlopen'd
-// native functions for the JIT engine). The pattern backend bypasses this and
-// dispatches to the specialized problem kernels instead.
+// native functions for the JIT engine). The prune, approximation and leaf
+// rules are the rule core's (core/rule_core.h), shared with the serve
+// engine; this file keeps only the dual-tree shape around them. The pattern
+// backend bypasses this and dispatches to the specialized problem kernels
+// instead.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 
 #include "core/plan.h"
+#include "core/rule_core.h"
 #include "tree/kdtree.h"
 #include "traversal/rules.h"
 
 namespace portal {
-
-/// Kernel evaluation callbacks a backend provides.
-struct EvaluatorFns {
-  /// Envelope g(distance) in the metric's natural space. Required when the
-  /// plan's kernel is normalized and the envelope is not the identity.
-  std::function<real_t(real_t)> envelope;
-
-  /// Full kernel on two dim-contiguous points (scratch: 2*dim reals for
-  /// Mahalanobis). Required when the kernel is NOT normalized.
-  std::function<real_t(const real_t*, const real_t*, index_t, real_t*)>
-      kernel_pair;
-
-  /// Optional batched flavor of kernel_pair: evaluate one query point
-  /// against `count` SoA reference lanes (lane j's d-th coordinate at
-  /// rlanes[d * rstride + rbegin + j]; see tree/soa_mirror.h), writing
-  /// out[0..count). Must agree with kernel_pair per lane (the VM backend is
-  /// bit-exact; see VmProgram::run_batch). Scratch: 3*dim reals. Backends
-  /// without a batched path (JIT) leave this null and the executor falls
-  /// back to the per-pair loop, counted as base/scalar_pairs.
-  std::function<void(const real_t* q, const real_t* rlanes, index_t rstride,
-                     index_t rbegin, index_t count, index_t dim,
-                     real_t* scratch, real_t* out)>
-      kernel_batch;
-
-  /// Optional fused leaf loop for NORMALIZED plans (same tile signature as
-  /// kernel_batch): metric distances + envelope in one specialized pass,
-  /// writing finished kernel values to out[0..count). Must be bitwise-equal
-  /// per lane to batch::natural_dists followed by `envelope` (the JIT's
-  /// fused emission is; see DESIGN.md Sec. 17). When null the executor runs
-  /// the generic natural_dists + envelope pair.
-  std::function<void(const real_t* q, const real_t* rlanes, index_t rstride,
-                     index_t rbegin, index_t count, index_t dim,
-                     real_t* scratch, real_t* out)>
-      leaf_values;
-};
 
 /// kd-trees are cached across execute() calls keyed by (dataset identity,
 /// leaf size) so iterative programs (Boruvka MST, EM) rebuild nothing. The

@@ -173,7 +173,7 @@ struct ProblemPlan {
   std::uint64_t fingerprint = 0;
   /// Kernel properties proven by the analysis framework (core/analysis),
   /// cached next to the fingerprint so every consumer -- pattern engine,
-  /// generic executor, serve rule sets, lint -- reads one oracle. Filled
+  /// rule core (executor and serve engine), lint -- reads one oracle. Filled
   /// by PortalExpr::compile_if_needed() alongside the fingerprint.
   KernelFacts facts;
 };

@@ -9,7 +9,6 @@
 #include "core/tuner.h"
 #include "core/codegen/jit.h"
 #include "core/codegen/pattern.h"
-#include "core/codegen/vm.h"
 #include "core/passes/lowering.h"
 #include "core/passes/passes.h"
 #include "obs/trace.h"
@@ -253,31 +252,7 @@ void PortalExpr::execute() {
       fns = jit_->module->evaluators();
       artifacts_.chosen_engine = "jit";
     } else {
-      const VmProgram kernel_vm = VmProgram::compile(plan_.kernel.kernel_ir);
-      fns.kernel_pair = [kernel_vm](const real_t* q, const real_t* r,
-                                    index_t dim, real_t* scratch) {
-        return kernel_vm.run_pair(q, r, dim, scratch);
-      };
-      // Batched flavor: the same program interpreted across a whole SoA lane
-      // tile (bit-for-bit run_pair per lane; see VmProgram::run_batch).
-      fns.kernel_batch = [kernel_vm](const real_t* q, const real_t* rlanes,
-                                     index_t rstride, index_t rbegin,
-                                     index_t count, index_t dim,
-                                     real_t* scratch, real_t* out) {
-        VmProgram::BatchContext bctx;
-        bctx.q = q;
-        bctx.rlanes = rlanes;
-        bctx.rstride = rstride;
-        bctx.rbegin = rbegin;
-        bctx.count = count;
-        bctx.dim = dim;
-        bctx.scratch = scratch;
-        kernel_vm.run_batch(bctx, out);
-      };
-      if (plan_.kernel.normalized && plan_.kernel.envelope_ir) {
-        const VmProgram env_vm = VmProgram::compile(plan_.kernel.envelope_ir);
-        fns.envelope = [env_vm](real_t d) { return env_vm.run_envelope(d); };
-      }
+      fns = vm_evaluators(plan_.kernel);
       artifacts_.chosen_engine = "vm";
     }
     result = execute_generic(plan_, config_, fns, trees_.get());
@@ -312,18 +287,8 @@ Storage PortalExpr::executeBruteForce() {
     throw std::invalid_argument(
         "Portal: brute-force gravity runs through bh_bruteforce");
 
-  EvaluatorFns fns;
-  const VmProgram kernel_vm = VmProgram::compile(plan_.kernel.kernel_ir);
-  fns.kernel_pair = [kernel_vm](const real_t* q, const real_t* r, index_t dim,
-                                real_t* scratch) {
-    return kernel_vm.run_pair(q, r, dim, scratch);
-  };
-  if (plan_.kernel.normalized && plan_.kernel.envelope_ir) {
-    const VmProgram env_vm = VmProgram::compile(plan_.kernel.envelope_ir);
-    fns.envelope = [env_vm](real_t d) { return env_vm.run_envelope(d); };
-  }
-  const ExecutionResult result = execute_bruteforce(plan_, config_, fns);
-  return Storage(result.output);
+  return Storage(
+      execute_bruteforce(plan_, config_, vm_evaluators(plan_.kernel)).output);
 }
 
 Storage PortalExpr::getOutput() const {

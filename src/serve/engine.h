@@ -3,18 +3,22 @@
 // Where the batch executor answers "every query point against every
 // reference point" with the dual-tree traversal, serving answers *one
 // arriving point at a time*: each request is a single-tree descent
-// (traversal/singletree.h) of the current snapshot's kd-tree, driven by the
-// same rule shapes as the executor's generic reducers -- envelope-bound
-// pruning for the comparative reductions, indicator interval logic for
-// range queries, tau-bounded approximation for KDE-style sums -- and
-// feeding the same SIMD-batched leaf tiles (kernels/batch.h).
+// (traversal/singletree.h) of the current snapshot's kd-tree. The prune,
+// approximation and leaf rules are not restated here: the descent runs the
+// rule core (core/rule_core.h) the executor runs -- envelope-bound pruning
+// for the comparative reductions, indicator interval logic for range
+// queries, tau-bounded approximation for KDE-style sums, and one leaf
+// evaluator over the SIMD-batched tiles (kernels/batch.h). This engine only
+// bounds the query point against a node and applies each decision to that
+// point.
 //
 // Determinism contract: with tau == 0 the engine is *bitwise* equal to the
-// serial brute-force oracle below. Sums accumulate in ascending permuted
-// order (the unscored descent visits leaves left-to-right), leaf distances
-// go through batch::natural_dists (bit-for-bit the scalar path), and the
-// envelope runs through the exact same VmProgram on both sides. The
-// concurrent stress tests pin this at tolerance zero.
+// serial brute-force oracle below, and to the matching row of the batch
+// executor for order-independent answers. Sums accumulate in ascending
+// permuted order (the unscored descent visits leaves left-to-right), leaf
+// values go through the core's leaf_values (every branch bit-for-bit the
+// scalar path), and the envelope runs through the same evaluator on both
+// sides. The concurrent stress tests pin this at tolerance zero.
 #pragma once
 
 #include <vector>
@@ -30,11 +34,8 @@ namespace portal::serve {
 /// Reusable per-worker scratch; sized lazily to the largest (plan, snapshot)
 /// combination seen. Never shared between threads.
 struct Workspace {
-  std::vector<real_t> rpt;      // dim-contiguous reference point copy
-  std::vector<real_t> scratch;  // kernel scratch (Mahalanobis solves)
-  std::vector<real_t> dists;    // leaf distances
-  std::vector<real_t> vals;     // leaf kernel values
-  std::vector<real_t> knn_dists; // reduction slots (sense space)
+  LeafScratch leaf;              // rule-core leaf buffers
+  std::vector<real_t> knn_dists; // reduction slots (sense, selection space)
   std::vector<index_t> knn_ids;
   BBox qbox; // degenerate query box for non-L2 point-to-node bounds
   // Approximate-path scratch (graph beam search + its candidate output);

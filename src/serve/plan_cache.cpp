@@ -60,11 +60,6 @@ std::uint64_t descriptor_key(const LayerSpec& inner, const Dataset& reference,
   return h;
 }
 
-const char* supported_ops_message() {
-  return "serve: unsupported inner operator (supported: MIN/MAX/ARGMIN/ARGMAX, "
-         "KMIN/KMAX/KARGMIN/KARGMAX, SUM, UNION/UNIONARG)";
-}
-
 /// Attach a JIT module (fused leaf loops + persistent artifact) to a freshly
 /// compiled plan. Failure is soft: the VM programs stay authoritative, so a
 /// broken toolchain degrades throughput, never availability.
@@ -74,8 +69,9 @@ void attach_jit(CompiledPlan& compiled, ArtifactCache* artifacts) {
     std::shared_ptr<const JitModule> module =
         JitModule::compile(compiled.plan, artifacts);
     if (module != nullptr) {
-      compiled.fused_values = module->fused_values_fn();
-      compiled.fused_batch = module->fused_batch_fn();
+      const EvaluatorFns fused = module->evaluators();
+      if (fused.kernel_batch) compiled.eval.kernel_batch = fused.kernel_batch;
+      compiled.eval.leaf_values = fused.leaf_values;
       compiled.jit = std::move(module);
     }
   } catch (const std::exception& e) {
@@ -90,36 +86,13 @@ std::shared_ptr<CompiledPlan> compile_plan(const LayerSpec& inner,
 
   // Resolve the operator traits up front so unsupported shapes fail before
   // the (much more expensive) compile.
-  switch (inner.op.op) {
-    case PortalOp::SUM:
-      compiled->is_sum = true;
-      break;
-    case PortalOp::UNION:
-      compiled->is_union = true;
-      break;
-    case PortalOp::UNIONARG:
-      compiled->is_unionarg = true;
-      break;
-    case PortalOp::MIN:
-    case PortalOp::MAX:
-    case PortalOp::ARGMIN:
-    case PortalOp::ARGMAX:
-    case PortalOp::KMIN:
-    case PortalOp::KMAX:
-    case PortalOp::KARGMIN:
-    case PortalOp::KARGMAX:
-      compiled->is_reduction = true;
-      compiled->is_arg = op_is_arg(inner.op.op);
-      compiled->sense = op_is_min_like(inner.op.op) ? real_t(1) : real_t(-1);
-      compiled->slots =
-          op_category(inner.op.op) == OpCategory::Multi ? inner.op.k : 1;
-      if (compiled->slots < 1)
-        throw std::invalid_argument("serve: k must be >= 1");
-      break;
-    default:
-      throw std::invalid_argument(supported_ops_message());
-  }
-  compiled->op = inner.op.op;
+  compiled->traits = op_traits(inner.op);
+  const OpTraits& t = compiled->traits;
+  if (t.is_prod || t.is_forall)
+    throw std::invalid_argument(
+        "serve: unsupported inner operator (supported: MIN/MAX/ARGMIN/ARGMAX, "
+        "KMIN/KMAX/KARGMIN/KARGMAX, SUM, UNION/UNIONARG)");
+  if (t.slots < 1) throw std::invalid_argument("serve: k must be >= 1");
   compiled->dim = reference.dim();
 
   // Compile through the standard pipeline: FORALL over a query-shape
@@ -149,11 +122,7 @@ std::shared_ptr<CompiledPlan> compile_plan(const LayerSpec& inner,
   if (!compiled->plan.kernel.kernel_ir)
     throw std::invalid_argument("serve: kernel did not lower to IR");
 
-  compiled->kernel_vm = VmProgram::compile(compiled->plan.kernel.kernel_ir);
-  if (compiled->plan.kernel.normalized && compiled->plan.kernel.envelope_ir) {
-    compiled->envelope_vm = VmProgram::compile(compiled->plan.kernel.envelope_ir);
-    compiled->has_envelope = true;
-  }
+  compiled->eval = vm_evaluators(compiled->plan.kernel);
   return compiled;
 }
 

@@ -27,44 +27,34 @@
 #include <string>
 
 #include "core/codegen/jit.h"
-#include "core/codegen/vm.h"
 #include "core/plan.h"
+#include "core/rule_core.h"
 #include "util/thread_annotations.h"
 
 namespace portal::serve {
 
-/// One immutable compiled program: the post-pass plan plus the VM bytecode
-/// the serving engine executes. Everything here is set once at compile time;
-/// VmProgram evaluation is thread-safe, so any number of workers can run the
-/// same CompiledPlan concurrently.
+/// One immutable compiled program: the post-pass plan plus the evaluator
+/// the serving engine runs it through. Everything here is set once at
+/// compile time; evaluation is thread-safe, so any number of workers can run
+/// the same CompiledPlan concurrently.
 struct CompiledPlan {
   std::uint64_t fingerprint = 0;
   ProblemPlan plan; // layer storages are compile-time shape templates only
-  VmProgram kernel_vm;
-  VmProgram envelope_vm; // valid iff has_envelope
-  bool has_envelope = false;
 
-  /// The plan's JIT module when the cache was configured for JIT serving
-  /// (configure_jit) and the compile succeeded; nullptr otherwise. The VM
-  /// programs above always remain valid -- they are the fallback for
-  /// non-batch paths and the oracle the differential walls compare against.
-  /// Held shared so the dlopen mapping outlives every in-flight request;
-  /// the raw fused entry points are cached beside it for the per-leaf hot
-  /// path (no dlsym, no std::function).
+  /// The VM evaluator (vm_evaluators), with the JIT module's fused tile
+  /// loops (kernel_batch, leaf_values) in place of the VM's when the cache
+  /// was configured for JIT serving (configure_jit) and the compile
+  /// succeeded. The per-pair kernel and the envelope stay the VM's: they
+  /// serve the scalar paths and the brute-force oracle the differential
+  /// walls compare against, and the fused loops are bitwise-equal to them.
+  EvaluatorFns eval;
+  /// Keeps the dlopen mapping behind `eval`'s JIT entries alive for every
+  /// in-flight request; nullptr when serving through the VM alone.
   std::shared_ptr<const JitModule> jit;
-  JitModule::BatchFn fused_values = nullptr; // normalized: metric + envelope
-  JitModule::BatchFn fused_batch = nullptr;  // opaque kernel per SoA lane
 
-  /// Inner-operator traits, pre-resolved so the engine never re-derives them
-  /// per request (same decomposition as the executor's reducers).
-  PortalOp op = PortalOp::KARGMIN;
-  index_t slots = 1;  // k for the Multi reductions
-  real_t sense = 1;   // +1 min-like, -1 max-like
-  bool is_reduction = false;
-  bool is_arg = false;
-  bool is_sum = false;
-  bool is_union = false;
-  bool is_unionarg = false;
+  /// Inner-operator traits (the rule core's decomposition), resolved once
+  /// so the engine never re-derives them per request.
+  OpTraits traits;
 
   index_t dim = 0; // request points must have exactly this many coordinates
   double compile_seconds = 0;

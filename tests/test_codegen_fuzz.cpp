@@ -614,6 +614,95 @@ TEST(DifferentialConformance, ServeEnginePruningMatchesBruteForce) {
   }
 }
 
+// The cross-engine wall: the serve engine's per-point descent and the batch
+// executor's dual-tree traversal run the same rule core, so at tau = 0 each
+// serve answer equals the matching row of the executor's (VM) output --
+// values bitwise, ids equal up to exact ties -- for every family whose
+// answer does not depend on visit order.
+TEST(DifferentialConformance, ServeMatchesExecutorRowByRow) {
+  const Dataset reference = make_gaussian_mixture(500, 3, 4, 20261019);
+  const Dataset queries = make_gaussian_mixture(40, 3, 4, 77);
+  Storage ref_storage(reference), query_storage(queries);
+  const auto snapshot =
+      TreeSnapshot::build(std::make_shared<const Dataset>(reference), 6, {});
+
+  std::vector<LayerSpec> families(8);
+  families[0].op = OpSpec(PortalOp::KARGMIN, 4);
+  families[0].func = PortalFunc::EUCLIDEAN;
+  families[1].op = OpSpec(PortalOp::KMIN, 3);
+  families[1].func = PortalFunc::SQREUCDIST;
+  families[2].op = OpSpec(PortalOp::MIN);
+  families[2].func = PortalFunc::MANHATTAN;
+  families[3].op = OpSpec(PortalOp::KARGMAX, 3);
+  families[3].func = PortalFunc::CHEBYSHEV;
+  families[4].op = OpSpec(PortalOp::KARGMIN, 3);
+  families[4].func = PortalFunc::MAHALANOBIS;
+  families[5].op = OpSpec(PortalOp::UNION);
+  families[5].func = PortalFunc::indicator(0, 0.9);
+  families[6].op = OpSpec(PortalOp::UNIONARG);
+  families[6].func = PortalFunc::indicator(1e-9, 0.9);
+  families[7].op = OpSpec(PortalOp::SUM);
+  families[7].func = PortalFunc::indicator(0, 1.1);
+
+  for (std::size_t f = 0; f < families.size(); ++f) {
+    SCOPED_TRACE("family " + std::to_string(f));
+    PortalConfig config;
+    config.engine = Engine::VM;
+    config.tau = 0;
+    config.leaf_size = 8;
+    PortalExpr expr;
+    expr.addLayer(PortalOp::FORALL, query_storage);
+    LayerSpec inner = families[f];
+    inner.storage = ref_storage;
+    expr.addLayerSpec(inner);
+    expr.execute(config);
+    const OutputData& batch = expr.getOutput().output();
+
+    serve::PlanCache cache;
+    const serve::PlanHandle plan =
+        cache.get_or_compile(families[f], reference, config);
+    ASSERT_TRUE(plan);
+    serve::Workspace ws;
+    serve::EngineOptions options;
+    options.tau = 0;
+    const bool is_list = plan->traits.is_union || plan->traits.is_unionarg;
+    for (index_t i = 0; i < queries.size(); ++i) {
+      SCOPED_TRACE("query " + std::to_string(i));
+      std::vector<real_t> pt(queries.dim());
+      for (index_t d = 0; d < queries.dim(); ++d) pt[d] = queries.coord(i, d);
+      const serve::QueryResult got =
+          serve::run_query(*plan, *snapshot, pt.data(), options, ws);
+
+      if (is_list) {
+        const index_t begin = batch.offsets[i];
+        const std::vector<index_t> want_ids(batch.lists.begin() + begin,
+                                            batch.lists.begin() + batch.offsets[i + 1]);
+        EXPECT_EQ(got.ids, want_ids);
+        if (plan->traits.is_union) {
+          ASSERT_EQ(got.values.size(), want_ids.size());
+          for (std::size_t s = 0; s < want_ids.size(); ++s)
+            EXPECT_EQ(got.values[s], batch.values[begin + s]) << "entry " << s;
+        }
+        continue;
+      }
+      ASSERT_EQ(static_cast<index_t>(got.values.size()), batch.cols);
+      for (index_t j = 0; j < batch.cols; ++j)
+        EXPECT_EQ(got.values[j], batch.values[i * batch.cols + j]) << "slot " << j;
+      if (!plan->traits.is_arg) continue;
+      ASSERT_EQ(static_cast<index_t>(got.ids.size()), batch.cols);
+      for (index_t j = 0; j < batch.cols; ++j) {
+        // An id may differ only where its value ties a neighbouring slot or
+        // sits on the k-th boundary (a tie with a candidate left out).
+        const bool tied =
+            j + 1 == batch.cols || got.values[j] == got.values[j + 1] ||
+            (j > 0 && got.values[j] == got.values[j - 1]);
+        if (!tied)
+          EXPECT_EQ(got.ids[j], batch.indices[i * batch.cols + j]) << "slot " << j;
+      }
+    }
+  }
+}
+
 // Random serve chains x random leaf sizes x batch base cases on/off: the
 // per-request descent (run_query) against the brute-force scan of the same
 // snapshot, bitwise at tau = 0.

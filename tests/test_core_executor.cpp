@@ -8,8 +8,10 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/codegen/jit.h"
 #include "core/portal.h"
 #include "data/generators.h"
+#include "obs/trace.h"
 #include "problems/knn.h"
 
 namespace portal {
@@ -341,6 +343,43 @@ TEST(Executor, ValidationCatchesApproximationWithinTau) {
   config.tau = 1e-2;
   config.validate = true;
   EXPECT_NO_THROW(expr.execute(config));
+}
+
+// tau = 0 means exact. Clusters of duplicates give node pairs whose
+// envelope spread is exactly zero, which a bare "spread <= tau" test would
+// still replace by count x centre value; the rule core approximates only
+// when tau > 0, on every engine.
+TEST(Executor, TauZeroNeverApproximates) {
+  Dataset data(256, 3); // 4 distinct points x 64 copies
+  for (index_t i = 0; i < data.size(); ++i)
+    for (index_t d = 0; d < 3; ++d) data.coord(i, d) = i % 4 == d ? 1.5 : 0;
+  Storage storage(data);
+
+  std::vector<Engine> engines = {Engine::VM};
+  if (jit_available()) engines.push_back(Engine::JIT);
+  for (const Engine engine : engines) {
+    SCOPED_TRACE(engine_name(engine));
+    PortalExpr expr;
+    expr.addLayer(PortalOp::FORALL, storage);
+    expr.addLayer(PortalOp::SUM, storage, PortalFunc::gaussian(0.8));
+    PortalConfig config = vm_config();
+    config.engine = engine;
+    config.leaf_size = 8;
+    config.tau = 0;
+    config.tau_explicit = true;
+    obs::set_enabled(true);
+    obs::reset();
+    expr.execute(config);
+    const obs::TraceReport report = obs::collect();
+    obs::set_enabled(false);
+    obs::reset();
+    EXPECT_EQ(report.counter("rules/approximations"), 0u);
+
+    const Storage out = expr.getOutput();
+    const Storage brute = expr.executeBruteForce();
+    for (index_t i = 0; i < data.size(); ++i)
+      EXPECT_NEAR(out.value(i, 0), brute.value(i, 0), 1e-12) << "query " << i;
+  }
 }
 
 TEST(Executor, EmptyDatasetRejected) {

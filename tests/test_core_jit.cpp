@@ -120,8 +120,11 @@ TEST(Jit, KernelMatchesVm) {
     }
     if (plan.kernel.normalized) {
       const VmProgram env_vm = VmProgram::compile(plan.kernel.envelope_ir);
-      for (real_t d : {0.0, 0.5, 1.0, 4.0, 25.0})
-        EXPECT_NEAR(jit.envelope(d), env_vm.run_envelope(d), 1e-12);
+      for (real_t d : {0.0, 0.5, 1.0, 4.0, 25.0}) {
+        real_t value;
+        jit.envelope(&d, 1, &value);
+        EXPECT_NEAR(value, env_vm.run_envelope(d), 1e-12);
+      }
     }
   }
 }

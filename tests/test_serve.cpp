@@ -1352,7 +1352,7 @@ TEST(ServeService, JitWarmStartsWithZeroCompiles) {
     // JIT serving attached fused entry points: the non-identity Gaussian
     // envelope gets the specialized metric+envelope tile loop.
     EXPECT_NE(kde->jit, nullptr);
-    EXPECT_NE(kde->fused_values, nullptr);
+    EXPECT_TRUE(kde->eval.leaf_values);
     EXPECT_NE(knn->jit, nullptr);
 
     std::vector<std::future<Response>> futures;
