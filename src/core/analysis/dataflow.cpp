@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "kernels/fastmath.h"
 #include "tree/bbox.h"
 
 namespace portal {
@@ -312,7 +313,9 @@ ExprFacts analyze_node(const IrExprPtr& node, const AnalysisInputs& in) {
     case IrOp::Exp: {
       const ExprFacts a = child(0);
       f = a;
-      f.range = {std::exp(a.range.lo), std::exp(a.range.hi), a.range.may_nan};
+      // Bounded with the engines' exp (monotone, pinned by FastExp), so the
+      // range holds the values they actually produce.
+      f.range = {det_exp(a.range.lo), det_exp(a.range.hi), a.range.may_nan};
       return f; // increasing
     }
     case IrOp::Log: {

@@ -117,7 +117,7 @@ void emit_expr(std::ostream& os, const IrExprPtr& e, int* matrix_counter,
       child(0);
       os << ")";
       return;
-    case IrOp::Exp: os << "__builtin_exp("; child(0); os << ")"; return;
+    case IrOp::Exp: os << "portal_exp("; child(0); os << ")"; return;
     case IrOp::Log: os << "__builtin_log("; child(0); os << ")"; return;
     case IrOp::Less:
       os << "((";
@@ -192,10 +192,10 @@ void emit_expr(std::ostream& os, const IrExprPtr& e, int* matrix_counter,
 // Every helper replicates its runtime counterpart bit for bit: portal_fabs /
 // portal_min / portal_max are std::fabs / std::min / std::max, the
 // fast-inverse-sqrt is kernels/fastmath.h including the NaN / negative /
-// denormal / infinity edge cases, portal_pow_int is pow_int's
-// square-and-multiply, and the Mahalanobis helpers follow kernels/linalg.cpp
-// operation for operation. This is what makes JIT output comparable to the
-// VM at tolerance 0 in the differential fuzz walls.
+// denormal / infinity edge cases, portal_exp is det_exp, portal_pow_int is
+// pow_int's square-and-multiply, and the Mahalanobis helpers follow
+// kernels/linalg.cpp operation for operation. This is what makes JIT output
+// comparable to the VM at tolerance 0 in the differential fuzz walls.
 const char* kPrelude = R"(// Generated by the Portal compiler backend. Do not edit.
 #include <cstdint>
 #include <cstring>
@@ -217,6 +217,49 @@ static inline double portal_fast_inv_sqrt(double x) {
   std::memcpy(&y, &bits, sizeof(y));
   y = y * (1.5 - half * y * y); // one Newton step
   return y;
+}
+
+static inline double portal_exp(double x) {
+  constexpr double kInvLn2 = 1.44269504088896338700e+00;
+  constexpr double kLn2Hi = 6.93147180369123816490e-01;
+  constexpr double kLn2Lo = 1.90821492927058770002e-10;
+  constexpr double kShift = 6755399441055744.0;
+  constexpr double kP1 = 1.66666666666666019037e-01;
+  constexpr double kP2 = -2.77777777770155933842e-03;
+  constexpr double kP3 = 6.61375632143793436117e-05;
+  constexpr double kP4 = -1.65339022054652515390e-06;
+  constexpr double kP5 = 4.13813679705723846039e-08;
+  constexpr std::uint64_t kShiftBits = 0x4338000000000000ULL;
+  constexpr std::uint64_t kLowClampBits = 0xC087500000000000ULL;
+  constexpr std::uint64_t kHighClampBits = 0x4086300000000000ULL;
+  std::uint64_t xb;
+  std::memcpy(&xb, &x, sizeof(xb));
+  const std::uint64_t under = 0 - static_cast<std::uint64_t>(x < -746.0);
+  const std::uint64_t over = 0 - static_cast<std::uint64_t>(x > 710.0);
+  xb = (xb & ~(under | over)) | (under & kLowClampBits) |
+       (over & kHighClampBits);
+  double xc;
+  std::memcpy(&xc, &xb, sizeof(xc));
+  const double shifted = xc * kInvLn2 + kShift;
+  const double k = shifted - kShift;
+  const double hi = xc - k * kLn2Hi;
+  const double lo = k * kLn2Lo;
+  const double r = hi - lo;
+  const double t = r * r;
+  const double c = r - t * (kP1 + t * (kP2 + t * (kP3 + t * (kP4 + t * kP5))));
+  const double y = 1.0 - ((lo - (r * c) / (2.0 - c)) - hi);
+  const double half = k * 0.5 + kShift;
+  std::uint64_t kb, k1b;
+  std::memcpy(&kb, &shifted, sizeof(kb));
+  std::memcpy(&k1b, &half, sizeof(k1b));
+  const std::uint64_t k1 = k1b - kShiftBits;
+  const std::uint64_t k2 = (kb - kShiftBits) - k1;
+  const std::uint64_t s1b = (k1 + 1023) << 52;
+  const std::uint64_t s2b = (k2 + 1023) << 52;
+  double s1, s2;
+  std::memcpy(&s1, &s1b, sizeof(s1));
+  std::memcpy(&s2, &s2b, sizeof(s2));
+  return y * s1 * s2;
 }
 
 static inline double portal_pow_int(double x, int n) {

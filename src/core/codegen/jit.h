@@ -12,12 +12,12 @@
 //
 // Two properties the test walls pin:
 //   * Bitwise parity with the VM: the emitted operations mirror the
-//     interpreter op for op (portal_pow_int == pow_int, the prelude
-//     fast-inverse-sqrt replicates kernels/fastmath.h including its edge
-//     cases, -ffp-contract=off forbids FMA contraction -- the same flag the
-//     root CMakeLists.txt applies to the host build, DESIGN.md Sec. 10), so
-//     JIT results are bit-identical to the VM at tolerance 0, not merely
-//     close.
+//     interpreter op for op (portal_pow_int == pow_int, portal_exp ==
+//     det_exp, the prelude fast-inverse-sqrt replicates kernels/fastmath.h
+//     including its edge cases, -ffp-contract=off forbids FMA contraction --
+//     the same flag the root CMakeLists.txt applies to the host build,
+//     DESIGN.md Sec. 10), so JIT results are bit-identical to the VM at
+//     tolerance 0, not merely close.
 //   * Zero-compile warm starts: compile() consults an ArtifactCache (the
 //     on-disk third level of the plan-cache identity) before invoking the
 //     compiler, and publishes what it builds.
@@ -36,7 +36,7 @@ namespace portal {
 /// Bumped whenever emit_cpp_source changes the shape of the emitted code;
 /// part of the artifact-cache key, so stale on-disk artifacts from an older
 /// emitter can never satisfy a lookup.
-inline constexpr std::uint64_t kJitEmitterVersion = 2;
+inline constexpr std::uint64_t kJitEmitterVersion = 3;
 
 /// A compiled kernel module (RAII over the dlopen handle; scratch files it
 /// owns are removed on destruction, cache-published artifacts are not).

@@ -189,7 +189,7 @@ real_t VmProgram::run(const VmContext& ctx) const {
       case Op::FastInvSqrt:
         stack[sp - 1] = fast_inv_sqrt(stack[sp - 1]);
         break;
-      case Op::Exp: stack[sp - 1] = std::exp(stack[sp - 1]); break;
+      case Op::Exp: stack[sp - 1] = det_exp(stack[sp - 1]); break;
       case Op::Log: stack[sp - 1] = std::log(stack[sp - 1]); break;
       case Op::Less:
         stack[sp - 2] = stack[sp - 2] < stack[sp - 1] ? 1 : 0;
@@ -292,10 +292,19 @@ void VmProgram::run_batch(const BatchContext& ctx, real_t* out) const {
           for (index_t l = 0; l < w; ++l) slot[l] = slice[l];
           break;
         }
+        case Op::Dist:
+          if (ctx.dists != nullptr) {
+            const real_t* slice = ctx.dists + block;
+            real_t* slot = stack[sp++];
+#pragma omp simd
+            for (index_t l = 0; l < w; ++l) slot[l] = slice[l];
+          } else {
+            broadcast(0);
+          }
+          break;
         // Node-pair atoms are absent from pair kernels; they read as the
         // defaulted-VmContext zeros so run_batch degrades exactly like
         // run_pair would on such a program.
-        case Op::Dist:
         case Op::DMin:
         case Op::DMax:
         case Op::CenterDist:
@@ -366,7 +375,8 @@ void VmProgram::run_batch(const BatchContext& ctx, real_t* out) const {
           for (index_t l = 0; l < w; ++l) top[l] = fast_inv_sqrt(top[l]);
           break;
         case Op::Exp:
-          for (index_t l = 0; l < w; ++l) top[l] = std::exp(top[l]);
+#pragma omp simd
+          for (index_t l = 0; l < w; ++l) top[l] = det_exp(top[l]);
           break;
         case Op::Log:
           for (index_t l = 0; l < w; ++l) top[l] = std::log(top[l]);

@@ -67,8 +67,11 @@ class VmProgram {
 
   /// Inputs for the batched flavor: one query point against `count`
   /// reference lanes from a SoA mirror (tree/soa_mirror.h); lane j's d-th
-  /// coordinate is rlanes[d * rstride + rbegin + j]. Node-pair atoms (Dist,
-  /// DMin, ...) read as 0, exactly like run_pair's defaulted VmContext.
+  /// coordinate is rlanes[d * rstride + rbegin + j]. With `dists` set, lane
+  /// j's Dist atom reads dists[j], so an envelope program runs across a
+  /// range of distances bit-for-bit like run_envelope per value. The other
+  /// node-pair atoms (DMin, ...), and Dist without `dists`, read as 0,
+  /// exactly like run_pair's defaulted VmContext.
   struct BatchContext {
     const real_t* q = nullptr;
     const real_t* rlanes = nullptr;
@@ -77,6 +80,7 @@ class VmProgram {
     index_t count = 0;
     index_t dim = 0;
     real_t* scratch = nullptr; // 3*dim reals (Mahalanobis/External gather)
+    const real_t* dists = nullptr;
   };
 
   /// Evaluate one opcode stream across a whole lane array: the value stack

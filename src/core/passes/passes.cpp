@@ -3,6 +3,7 @@
 #include <cmath>
 #include <set>
 
+#include "kernels/fastmath.h"
 #include "kernels/linalg.h"
 #include "obs/trace.h"
 #include "util/log.h"
@@ -130,7 +131,8 @@ IrExprPtr constant_fold_pass(const IrExprPtr& expr) {
         if (all_const() && c0() >= 0) return ir_const(std::sqrt(c0()));
         return nullptr;
       case IrOp::Exp:
-        if (all_const()) return ir_const(std::exp(c0()));
+        // The engines' exp, so a folded constant is what any of them computes.
+        if (all_const()) return ir_const(det_exp(c0()));
         return nullptr;
       case IrOp::Log:
         if (all_const() && c0() > 0) return ir_const(std::log(c0()));

@@ -36,8 +36,19 @@ EvaluatorFns vm_evaluators(const KernelInfo& kernel) {
   };
   if (kernel.normalized && kernel.envelope_ir) {
     const VmProgram env_vm = VmProgram::compile(kernel.envelope_ir);
+    // Lane-parallel over a leaf's range (bit-for-bit run_envelope per
+    // value), so the envelope's exp runs on vectors. Node bounds and centre
+    // values pass one or two distances, where the lane interpreter's set-up
+    // costs more than it saves.
     fns.envelope = [env_vm](const real_t* dists, index_t count, real_t* out) {
-      for (index_t j = 0; j < count; ++j) out[j] = env_vm.run_envelope(dists[j]);
+      if (count <= 2) {
+        for (index_t j = 0; j < count; ++j) out[j] = env_vm.run_envelope(dists[j]);
+        return;
+      }
+      VmProgram::BatchContext bctx;
+      bctx.count = count;
+      bctx.dists = dists;
+      env_vm.run_batch(bctx, out);
     };
   }
   return fns;

@@ -20,6 +20,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "kernels/fastmath.h"
 #include "kernels/metrics.h"
 #include "obs/trace.h"
 #include "util/common.h"
@@ -115,23 +116,29 @@ inline void linf_dists(const Tile& t, const real_t* qpt, real_t* out) {
 }
 
 /// out[j] = exp(-sq[j] * inv_two_sigma_sq) -- the Gaussian KDE kernel on a
-/// lane of squared distances (kernels/gaussian.h, batched).
+/// lane of squared distances (kernels/gaussian.h, batched). det_exp is
+/// branch-free, so the lane loop vectorizes; each lane is bitwise the scalar
+/// GaussianKernel::eval_sq.
 inline void gaussian_sq(const real_t* sq, index_t count, real_t inv_two_sigma_sq,
                         real_t* out) {
 #pragma omp simd
-  for (index_t j = 0; j < count; ++j) out[j] = std::exp(-sq[j] * inv_two_sigma_sq);
+  for (index_t j = 0; j < count; ++j) out[j] = det_exp(-sq[j] * inv_two_sigma_sq);
 }
 
-/// Fused exp-and-accumulate over a lane of squared distances. Sums in the
-/// same ascending-j order as the scalar KDE base case (bitwise-identical to
-/// gaussian_sq followed by an ordered sum) while skipping the intermediate
-/// array pass -- the exp calls dominate either way, so the fusion only drops
-/// cache traffic, never changes a bit.
+/// Gaussian values summed over a lane of squared distances. The exp runs
+/// vectorized over chunks (gaussian_sq); the sum stays scalar in the same
+/// ascending-j order as the scalar KDE base case, so the result is bitwise
+/// gaussian_sq followed by an ordered sum at any vector width.
 inline real_t gaussian_sq_sum(const real_t* sq, index_t count,
                               real_t inv_two_sigma_sq) {
+  constexpr index_t kChunk = 64;
+  alignas(64) real_t vals[kChunk];
   real_t total = 0;
-  for (index_t j = 0; j < count; ++j)
-    total += std::exp(-sq[j] * inv_two_sigma_sq);
+  for (index_t b = 0; b < count; b += kChunk) {
+    const index_t w = std::min(kChunk, count - b);
+    gaussian_sq(sq + b, w, inv_two_sigma_sq, vals);
+    for (index_t j = 0; j < w; ++j) total += vals[j];
+  }
   return total;
 }
 

@@ -3,6 +3,7 @@
 
 #include <cmath>
 
+#include "kernels/fastmath.h"
 #include "kernels/metrics.h"
 #include "util/common.h"
 
@@ -23,8 +24,10 @@ class GaussianKernel {
   /// (kernels/batch.h evaluates exp(-sq * inv_two_sigma_sq) per lane).
   real_t inv_two_sigma_sq() const { return inv_two_sigma_sq_; }
 
+  /// det_exp, the exp every engine evaluates (kernels/fastmath.h), so the
+  /// expert's leaves, bounds and centre values match generated code.
   real_t eval_sq(real_t sq_dist) const {
-    return std::exp(-sq_dist * inv_two_sigma_sq_);
+    return det_exp(-sq_dist * inv_two_sigma_sq_);
   }
 
   /// Normalization constant for a d-dimensional density estimate:

@@ -79,9 +79,9 @@ class KdeRules {
       qtree_.data().copy_point(qi, ws.qpt.data());
       real_t total = 0;
       if (batch_) {
-        // Distances evaluate lane-parallel off the SoA mirror; the fused
-        // exp-sum then runs in the same ascending-j order as the scalar
-        // path, so the result is bitwise-identical.
+        // Distances evaluate lane-parallel off the SoA mirror; the exp-sum
+        // then adds in the same ascending-j order as the scalar path, so the
+        // result is bitwise-identical.
         batch::sq_dists(rtree_.mirror().tile(rnode.begin, rcount),
                         ws.qpt.data(), ws.dists.data());
         batch::count_batch_tile(rcount);

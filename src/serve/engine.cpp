@@ -1,7 +1,6 @@
 #include "serve/engine.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <stdexcept>
 
@@ -371,7 +370,6 @@ const KdTree& serving_tree(const CompiledPlan& plan,
 /// for that pair.
 QueryResult run_query_graph(const Ctx& ctx, const KnnGraph& graph,
                             const EngineOptions& options) {
-  const auto t0 = std::chrono::steady_clock::now();
   Workspace& ws = *ctx.ws;
   // Search the full beam (not just k): tombstoned candidates are dropped
   // below, so the extra slots are the slack that keeps k survivors likely.
@@ -400,9 +398,6 @@ QueryResult run_query_graph(const Ctx& ctx, const KnnGraph& graph,
   rules.finish(&result);
   result.stats.pairs_visited = ws.graph.dist_evals;
   result.stats.base_cases = ws.graph.hops;
-  result.stats.elapsed_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
   return result;
 }
 

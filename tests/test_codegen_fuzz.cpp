@@ -940,6 +940,47 @@ TEST(CodegenFuzz, RunBatchMatchesRunPairPerLane) {
   }
 }
 
+// The VM envelope over a range of distances (run_batch with Dist lanes, the
+// rule core's envelope callback) vs run_envelope per value, at ZERO ULP, on
+// every normalized plan's envelope -- ragged counts around the 16-lane
+// block, distances from 0 through the exp saturation range.
+TEST(CodegenFuzz, RunBatchEnvelopeMatchesRunEnvelopePerLane) {
+  const std::uint64_t seed = fuzz_seed();
+  std::printf("PORTAL_FUZZ_SEED=%llu\n", static_cast<unsigned long long>(seed));
+  Rng rng(seed ^ 0xe7e1ull);
+  Storage data(make_gaussian_mixture(40, 3, 2, seed ^ 0x5a));
+  for (const PortalFunc& func :
+       {PortalFunc::gaussian(0.9), PortalFunc::gaussian(0.05),
+        PortalFunc::EUCLIDEAN, PortalFunc::MANHATTAN,
+        PortalFunc::gaussian_maha(random_spd3(rng)),
+        PortalFunc::indicator(1e-9, 1.1)}) {
+    std::vector<LayerSpec> layers(2);
+    layers[0].op = OpSpec(PortalOp::FORALL);
+    layers[0].storage = data;
+    layers[1].op = OpSpec(PortalOp::SUM);
+    layers[1].storage = data;
+    layers[1].func = func;
+    const ProblemPlan plan = analyze_layers(layers, PortalConfig{});
+    ASSERT_TRUE(plan.kernel.normalized && plan.kernel.envelope_ir) << func.name();
+    const VmProgram env_vm = VmProgram::compile(plan.kernel.envelope_ir);
+    for (const index_t count : {index_t(1), index_t(2), index_t(15),
+                                index_t(16), index_t(17), index_t(40)}) {
+      std::vector<real_t> dists(count), got(count);
+      for (real_t& d : dists) d = rng.uniform(0, 1) < 0.5 ? rng.uniform(0, 4)
+                                                          : rng.uniform(0, 2000);
+      dists[0] = 0;
+      VmProgram::BatchContext bctx;
+      bctx.count = count;
+      bctx.dists = dists.data();
+      env_vm.run_batch(bctx, got.data());
+      for (index_t j = 0; j < count; ++j)
+        EXPECT_EQ(ulp_distance(env_vm.run_envelope(dists[j]), got[j]), 0)
+            << func.name() << " count " << count << " lane " << j
+            << ": dist=" << dists[j];
+    }
+  }
+}
+
 // End-to-end batched/scalar exactness across dimensionalities and ragged
 // leaf shapes: leaf sizes 1 (degenerate tiles), 15/16 (around the VM's
 // 16-lane block) over point counts that leave ragged tails. Every engine

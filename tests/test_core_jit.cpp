@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -16,6 +19,7 @@
 #include "core/codegen/vm.h"
 #include "core/portal.h"
 #include "data/generators.h"
+#include "kernels/fastmath.h"
 #include "obs/trace.h"
 #include "util/rng.h"
 
@@ -208,6 +212,52 @@ TEST(Jit, EmitsFusedLeafEntries) {
   ASSERT_NE(module, nullptr);
   EXPECT_NE(module->fused_batch_fn(), nullptr);
   EXPECT_NE(module->fused_values_fn(), nullptr);
+}
+
+TEST(FastExp, JitPortalExpIsBitwiseHostDetExp) {
+  // The prelude's portal_exp must be det_exp op for op: hand the JIT an
+  // envelope exp(Dist - 745) and sweep Dist so the argument covers the whole
+  // finite range plus both saturations, through the scalar envelope entry
+  // and the fused (vectorizable) tile loop alike.
+  if (!jit_available()) GTEST_SKIP() << "no system compiler";
+  Storage data(make_gaussian_mixture(50, 1, 2, 51));
+  ProblemPlan plan = make_plan(PortalFunc::gaussian(1.0), data, PortalOp::SUM);
+  ASSERT_EQ(plan.kernel.metric, MetricKind::SqEuclidean);
+  plan.kernel.envelope_ir = ir_unary(
+      IrOp::Exp, ir_binary(IrOp::Sub, ir_leaf(IrOp::Dist), ir_const(745)));
+  auto module = JitModule::compile(plan, /*cache=*/nullptr);
+  ASSERT_NE(module, nullptr);
+  ASSERT_NE(module->fused_values_fn(), nullptr);
+  const auto same_bits = [](double a, double b) {
+    std::uint64_t ia, ib;
+    std::memcpy(&ia, &a, sizeof(ia));
+    std::memcpy(&ib, &b, sizeof(ib));
+    return ia == ib;
+  };
+
+  const JitModule::EnvelopeFn envelope = module->envelope_fn();
+  const long steps = 1000000;
+  for (long i = 0; i <= steps; ++i) {
+    const double d = -2.0 + 1460.0 * static_cast<double>(i) / steps;
+    ASSERT_TRUE(same_bits(envelope(d), det_exp(d - 745.0))) << "dist " << d;
+  }
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(envelope(inf), inf);
+  EXPECT_EQ(envelope(-inf), 0.0);
+  EXPECT_TRUE(std::isnan(envelope(std::numeric_limits<double>::quiet_NaN())));
+
+  // Fused tile loop over one 1-D lane: dist_j = (r_j - q)^2 with q = 0.
+  const long count = 4096;
+  std::vector<double> lanes(count), out(count), scratch(3);
+  for (long j = 0; j < count; ++j)
+    lanes[j] = std::sqrt(1460.0 * static_cast<double>(j) / count);
+  const double q = 0;
+  module->fused_values_fn()(&q, lanes.data(), count, 0, count, 1,
+                            scratch.data(), out.data());
+  for (long j = 0; j < count; ++j) {
+    const double diff = lanes[j] - q;
+    ASSERT_TRUE(same_bits(out[j], det_exp(diff * diff - 745.0))) << "lane " << j;
+  }
 }
 
 // --- the ArtifactCache wall -------------------------------------------------

@@ -1,9 +1,12 @@
 // Tests for src/kernels: fast-math error bounds (the paper's Sec. IV-E
-// claims), metric identities, Cholesky/Mahalanobis equivalence (Sec. IV-D),
-// and Gaussian kernel behavior.
+// claims), the deterministic exp every engine shares, metric identities,
+// Cholesky/Mahalanobis equivalence (Sec. IV-D), and Gaussian kernel behavior.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -302,18 +305,117 @@ TEST(Gaussian, LogPdfMatchesClosedForm1D) {
 }
 
 TEST(Gaussian, BatchedSumIsBitwiseEqualToOrderedLanes) {
-  // The fused exp-accumulate used by the batched KDE base case must equal
-  // gaussian_sq lanes summed in ascending order, bit for bit -- that is the
-  // contract that lets kde.cpp skip the intermediate values pass.
+  // The chunked exp-accumulate used by the batched KDE base case must equal
+  // gaussian_sq lanes summed in ascending order, bit for bit, and each
+  // vectorized lane must equal the scalar det_exp -- the contract that keeps
+  // the batched and scalar KDE leaves bitwise-identical.
   Rng rng(99);
-  for (const index_t count : {index_t(1), index_t(15), index_t(16), index_t(33)}) {
+  for (const index_t count : {index_t(1), index_t(15), index_t(16), index_t(33),
+                              index_t(64), index_t(65), index_t(130)}) {
     std::vector<real_t> sq(count), vals(count);
     for (real_t& v : sq) v = rng.uniform(0.0, 9.0);
     const real_t c = 0.37;
     batch::gaussian_sq(sq.data(), count, c, vals.data());
     real_t ordered = 0;
-    for (index_t j = 0; j < count; ++j) ordered += vals[j];
+    for (index_t j = 0; j < count; ++j) {
+      EXPECT_EQ(vals[j], det_exp(-sq[j] * c)) << "lane " << j;
+      ordered += vals[j];
+    }
     EXPECT_EQ(batch::gaussian_sq_sum(sq.data(), count, c), ordered);
+  }
+}
+
+/// Distance in units in the last place between two non-negative doubles
+/// (every exp result is >= 0, so the bit patterns order like the values).
+std::uint64_t ulp_distance(double a, double b) {
+  std::uint64_t ia, ib;
+  std::memcpy(&ia, &a, sizeof(ia));
+  std::memcpy(&ib, &b, sizeof(ib));
+  return ia > ib ? ia - ib : ib - ia;
+}
+
+/// det_exp against libm over [lo, hi] in `steps` equal steps: returns the
+/// largest ulp distance and fails on any downward step (the sweep ascends).
+std::uint64_t sweep_max_ulps(double lo, double hi, long steps) {
+  std::uint64_t worst = 0;
+  double prev = 0;
+  for (long i = 0; i <= steps; ++i) {
+    const double x = lo + (hi - lo) * static_cast<double>(i) / static_cast<double>(steps);
+    const double got = det_exp(x);
+    worst = std::max(worst, ulp_distance(got, std::exp(x)));
+    EXPECT_GE(got, prev) << "downward step at x = " << x;
+    prev = got;
+  }
+  return worst;
+}
+
+TEST(FastExp, DenseSweepWithinOneUlpOfLibm) {
+  // Normal results: the whole finite range above the subnormal threshold
+  // (exp(-708.3964) is the smallest normal), plus a dense sweep near 0
+  // where the reduction leaves k = 0.
+  EXPECT_LE(sweep_max_ulps(-708.39, 709.78, 4000000), 1u);
+  EXPECT_LE(sweep_max_ulps(-0.75, 0.75, 1000000), 1u);
+  EXPECT_LE(sweep_max_ulps(-1e-6, 1e-6, 100000), 1u);
+}
+
+TEST(FastExp, SubnormalResultsWithinOneUlpOfLibm) {
+  // Subnormal results: the 2^k scale is applied in two halves so the final
+  // product rounds once; the bound is 1 ulp of the subnormal spacing
+  // (2^-1074), the same as for normal results.
+  EXPECT_LE(sweep_max_ulps(-745.133, -708.40, 1000000), 1u);
+}
+
+TEST(FastExp, EdgeCasesAreExact) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(det_exp(0.0), 1.0);
+  EXPECT_EQ(det_exp(-0.0), 1.0);
+  EXPECT_EQ(det_exp(-kInf), 0.0);
+  EXPECT_FALSE(std::signbit(det_exp(-kInf)));
+  EXPECT_EQ(det_exp(kInf), kInf);
+  EXPECT_TRUE(std::isnan(det_exp(std::numeric_limits<double>::quiet_NaN())));
+  EXPECT_TRUE(std::isnan(det_exp(-std::numeric_limits<double>::quiet_NaN())));
+  EXPECT_EQ(det_exp(std::numeric_limits<double>::denorm_min()), 1.0);
+  EXPECT_EQ(det_exp(-std::numeric_limits<double>::denorm_min()), 1.0);
+
+  // Overflow threshold: the largest x with a finite exp(x) (fdlibm's
+  // o_threshold) gives the libm value; the next double up is inf.
+  const double o_threshold = 7.09782712893383973096e+02;
+  EXPECT_EQ(det_exp(o_threshold), std::exp(o_threshold));
+  EXPECT_LT(det_exp(o_threshold), kInf);
+  EXPECT_EQ(det_exp(std::nextafter(o_threshold, kInf)), kInf);
+  EXPECT_EQ(det_exp(710.0), kInf);
+  EXPECT_EQ(det_exp(1e300), kInf);
+  EXPECT_EQ(det_exp(std::numeric_limits<double>::max()), kInf);
+
+  // Underflow threshold: the smallest x with a non-zero exp(x) (fdlibm's
+  // u_threshold) gives the smallest subnormal; the next double down is 0.
+  const double u_threshold = -7.45133219101941108420e+02;
+  EXPECT_EQ(det_exp(u_threshold), std::numeric_limits<double>::denorm_min());
+  EXPECT_EQ(det_exp(std::nextafter(u_threshold, -kInf)), 0.0);
+  EXPECT_EQ(det_exp(-746.0), 0.0);
+  EXPECT_EQ(det_exp(-1e300), 0.0);
+  EXPECT_EQ(det_exp(std::numeric_limits<double>::lowest()), 0.0);
+
+  // The smallest normal result.
+  const double normal_threshold = -7.08396418532264106224e+02;
+  EXPECT_EQ(det_exp(normal_threshold), std::exp(normal_threshold));
+}
+
+TEST(FastExp, MonotoneAcrossEveryReductionBoundary) {
+  // k switches where x / ln2 crosses a half-integer; the polynomial then
+  // meets the next binade from the other end of its interval. Walk 64 ulps
+  // either side of every boundary in the finite range: no downward step.
+  const double ln2 = 0.69314718055994530942;
+  for (int k = -1076; k <= 1024; ++k) {
+    double x = (k + 0.5) * ln2;
+    for (int s = 0; s < 64; ++s) x = std::nextafter(x, -1e308);
+    double prev = det_exp(x);
+    for (int s = 0; s < 128; ++s) {
+      x = std::nextafter(x, 1e308);
+      const double value = det_exp(x);
+      ASSERT_GE(value, prev) << "downward step at x = " << x << " (k = " << k << ")";
+      prev = value;
+    }
   }
 }
 

@@ -317,6 +317,7 @@ TEST(DualTraverse, LargerSplitCoversEveryPairOnOctree) {
 #include <limits>
 
 #include "kernels/batch.h"
+#include "kernels/fastmath.h"
 #include "problems/common.h"
 #include "problems/kde.h"
 #include "problems/knn.h"
@@ -552,7 +553,7 @@ struct SingleKdeRules {
     } else {
       sq_dists_to_range(tree->data(), n.begin, n.end, qpt, dists.data());
       for (index_t j = 0; j < count; ++j)
-        total += std::exp(-dists[j] * inv_two_sigma_sq);
+        total += det_exp(-dists[j] * inv_two_sigma_sq);
     }
   }
 };
