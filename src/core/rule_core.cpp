@@ -39,7 +39,8 @@ EvaluatorFns vm_evaluators(const KernelInfo& kernel) {
     // Lane-parallel over a leaf's range (bit-for-bit run_envelope per
     // value), so the envelope's exp runs on vectors. Node bounds and centre
     // values pass one or two distances, where the lane interpreter's set-up
-    // costs more than it saves.
+    // costs more than it saves: sending them through run_batch too made
+    // serve-live's solve 11% slower (EXPERIMENTS.md, det_exp section).
     fns.envelope = [env_vm](const real_t* dists, index_t count, real_t* out) {
       if (count <= 2) {
         for (index_t j = 0; j < count; ++j) out[j] = env_vm.run_envelope(dists[j]);

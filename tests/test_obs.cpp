@@ -203,9 +203,12 @@ TEST_F(ObsTest, FullPipelineRunCoversCompileAndTraversal) {
   Storage data(make_gaussian_mixture(1500, 3, 4, 11));
   PortalExpr expr;
   expr.addLayer(PortalOp::FORALL, data);
-  // Gaussian KDE: the envelope runs through the VM interpreter in base cases
-  // (a pure-distance kernel like KARGMIN+EUCLIDEAN would bypass the VM via
-  // the identity-envelope fast path and record zero kernel evals).
+  // Gaussian KDE: the envelope runs through the VM interpreter, lane-parallel
+  // over base-case leaves (vm/batch_evals) and one value at a time for node
+  // bounds, centre values and the compile-time shape analysis
+  // (vm/kernel_evals). A pure-distance kernel like KARGMIN+EUCLIDEAN would
+  // bypass the VM at run time via the identity-envelope fast path and record
+  // zero batch evals.
   expr.addLayer(PortalOp::SUM, data, PortalFunc::gaussian(0.5));
   PortalConfig config;
   config.engine = Engine::VM;
@@ -216,6 +219,7 @@ TEST_F(ObsTest, FullPipelineRunCoversCompileAndTraversal) {
   EXPECT_GE(report.timer_count("executor/traversal"), 1u);
   EXPECT_GT(report.counter("traversal/pairs_visited"), 0u);
   EXPECT_GT(report.counter("vm/kernel_evals"), 0u);
+  EXPECT_GT(report.counter("vm/batch_evals"), 0u);
   bool engine_event = false;
   for (const obs::TraceEvent& e : report.events)
     if (e.name == "engine/vm" && e.phase == 'i') engine_event = true;
