@@ -9,15 +9,11 @@
 #include "core/portal.h"
 #include "kernels/batch.h"
 #include "obs/trace.h"
+#include "util/aligned.h"
 #include "util/threading.h"
 
 namespace portal {
 namespace {
-
-/// Gathered-tile chunk width for candidate distance evaluation. Per-pair
-/// results are independent of the chunking (ascending-dimension
-/// accumulation), so this is a throughput knob only.
-constexpr index_t kGatherChunk = 128;
 
 /// splitmix64 finalizer -- the deterministic stream behind the search-seed
 /// permutation.
@@ -28,13 +24,10 @@ inline std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-/// Build scratch for re-scoring one row: the query point, the gathered SIMD
-/// tile, and the scored list the row sort orders. Reused across points.
+/// Build scratch for re-scoring one row: its candidate ids and the scored
+/// list the row sort orders. Reused across points.
 struct BuildScratch {
-  std::vector<real_t> qpt;
   std::vector<index_t> pool;
-  std::vector<real_t> tile;
-  std::vector<real_t> tile_sq;
   std::vector<std::pair<real_t, index_t>> scored;
 };
 
@@ -76,8 +69,11 @@ KnnGraph::KnnGraph(const Dataset& data, const KnnGraphOptions& options,
   const auto t0 = std::chrono::steady_clock::now();
   PORTAL_OBS_SCOPE(graph_build_scope, "index/graph/build");
 
-  data_ = data; // original order: neighbor ids are client ids
-  mirror_.build(data_, options.parallel_build);
+  // One point-contiguous copy in original order (neighbor ids are client
+  // ids): the layout the row kernel reads. Column-major input (d <= 4) is
+  // converted straight into it; row-major input is copied as is.
+  data_ = data.layout() == Layout::RowMajor ? data
+                                            : data.with_layout(Layout::RowMajor);
   const index_t n = data_.size();
   const index_t dim = data_.dim();
   degree_ = std::min<index_t>(std::max<index_t>(options.degree, 0), n - 1);
@@ -92,20 +88,18 @@ KnnGraph::KnnGraph(const Dataset& data, const KnnGraphOptions& options,
 
     // Exact K+1 nearest per point, self included (K + 1 <= n).
     std::vector<index_t> knn =
-        all_knn_ids(data_, K + 1, use_threads, std::move(tree), &total_evals);
+        all_knn_ids(data, K + 1, use_threads, std::move(tree), &total_evals);
 
     // Each row: the K+1 ids minus the point itself -- or minus the last id
     // when more than K+1 duplicates crowd the point out of its own list --
-    // re-scored through the gathered SIMD tile and sorted by (sq, id). The
-    // stored squared distances are then bitwise-equal to the scalar
-    // ascending-dimension accumulation, exactly what the exact engine and
-    // the search report for the same pair.
+    // re-scored through the row kernel (straight into the row's distance
+    // slots) and sorted by (sq, id). The stored squared distances are then
+    // bitwise-equal to the scalar ascending-dimension accumulation, exactly
+    // what the exact engine and the search report for the same pair.
+    const real_t* rows = data_.raw();
 #pragma omp parallel if (use_threads)
     {
       BuildScratch s;
-      s.qpt.resize(static_cast<std::size_t>(dim));
-      s.tile.resize(static_cast<std::size_t>(dim * kGatherChunk));
-      s.tile_sq.resize(static_cast<std::size_t>(kGatherChunk));
 #pragma omp for schedule(static)
       for (index_t u = 0; u < n; ++u) {
         const index_t* ids = knn.data() + u * (K + 1);
@@ -113,18 +107,12 @@ KnnGraph::KnnGraph(const Dataset& data, const KnnGraphOptions& options,
         const auto self = std::find(s.pool.begin(), s.pool.end(), u);
         s.pool.erase(self != s.pool.end() ? self : s.pool.end() - 1);
 
-        data_.copy_point(u, s.qpt.data());
+        real_t* row_sq = adj_sq_.data() + u * K;
+        batch::row_sq_dists(rows, dim, s.pool.data(), K, data_.row_ptr(u),
+                            row_sq);
         s.scored.clear();
-        for (index_t b = 0; b < K; b += kGatherChunk) {
-          const index_t w = std::min<index_t>(kGatherChunk, K - b);
-          const batch::Tile t =
-              batch::gather(mirror_.lanes(), mirror_.stride(), dim,
-                            s.pool.data() + b, w, s.tile.data(), kGatherChunk);
-          batch::sq_dists(t, s.qpt.data(), s.tile_sq.data());
-          for (index_t j = 0; j < w; ++j)
-            s.scored.emplace_back(s.tile_sq[static_cast<std::size_t>(j)],
-                                  s.pool[static_cast<std::size_t>(b + j)]);
-        }
+        for (index_t j = 0; j < K; ++j)
+          s.scored.emplace_back(row_sq[j], s.pool[static_cast<std::size_t>(j)]);
         std::sort(s.scored.begin(), s.scored.end());
         for (index_t slot = 0; slot < K; ++slot) {
           adj_[static_cast<std::size_t>(u * K + slot)] =
@@ -233,58 +221,77 @@ index_t KnnGraph::search(const real_t* query, index_t k, index_t beam,
   if (n == 0 || k <= 0) return 0;
   const index_t width = std::min<index_t>(std::max<index_t>(beam, k), n);
   const index_t dim = data_.dim();
+  const real_t* rows = data_.raw();  // point i at rows + i * dim
 
   if (static_cast<index_t>(scratch.visited.size()) < n) {
     scratch.visited.assign(static_cast<std::size_t>(n), 0);
     scratch.generation = 0;
   }
   const std::uint64_t gen = ++scratch.generation;
+  std::uint64_t* visited = scratch.visited.data();
   scratch.beam_sq.resize(static_cast<std::size_t>(width));
   scratch.beam_ids.resize(static_cast<std::size_t>(width));
   scratch.expanded.resize(static_cast<std::size_t>(width));
-  // Expansion gathers one forward row plus up to 2x degree reverse edges.
-  const index_t tile_w = std::max<index_t>(3 * degree_, kGatherChunk);
-  scratch.gather_ids.resize(static_cast<std::size_t>(tile_w));
-  scratch.tile.resize(static_cast<std::size_t>(dim * tile_w));
-  scratch.tile_sq.resize(static_cast<std::size_t>(tile_w));
+  real_t* beam_sq = scratch.beam_sq.data();
+  index_t* beam_ids = scratch.beam_ids.data();
+  char* expanded = scratch.expanded.data();
+  // Expansion scores one forward row plus up to 2x degree reverse edges;
+  // seeds are scored in batches of the same size.
+  const index_t cap = std::max<index_t>(3 * degree_, batch::kRowBlock);
+  scratch.cand_ids.resize(static_cast<std::size_t>(cap));
+  scratch.cand_sq.resize(static_cast<std::size_t>(cap));
+  index_t* cand_ids = scratch.cand_ids.data();
+  real_t* cand_sq = scratch.cand_sq.data();
 
   index_t count = 0;
+  // Every beam entry below `cursor` is expanded, so the nearest unexpanded
+  // entry is found by scanning on from it; an insert below it pulls it back.
+  index_t cursor = 0;
   // Sorted (sq, id) insert; ties break toward the smaller id, so the beam
   // contents are a deterministic function of the visited set alone.
   const auto insert = [&](real_t d, index_t id) {
     if (count == width) {
-      const real_t wd = scratch.beam_sq[static_cast<std::size_t>(width - 1)];
-      const index_t wi = scratch.beam_ids[static_cast<std::size_t>(width - 1)];
+      const real_t wd = beam_sq[width - 1];
+      const index_t wi = beam_ids[width - 1];
       if (d > wd || (d == wd && id > wi)) return;
     }
     index_t pos = count < width ? count : width - 1;
-    while (pos > 0 &&
-           (scratch.beam_sq[static_cast<std::size_t>(pos - 1)] > d ||
-            (scratch.beam_sq[static_cast<std::size_t>(pos - 1)] == d &&
-             scratch.beam_ids[static_cast<std::size_t>(pos - 1)] > id))) {
-      scratch.beam_sq[static_cast<std::size_t>(pos)] =
-          scratch.beam_sq[static_cast<std::size_t>(pos - 1)];
-      scratch.beam_ids[static_cast<std::size_t>(pos)] =
-          scratch.beam_ids[static_cast<std::size_t>(pos - 1)];
-      scratch.expanded[static_cast<std::size_t>(pos)] =
-          scratch.expanded[static_cast<std::size_t>(pos - 1)];
+    while (pos > 0 && (beam_sq[pos - 1] > d ||
+                       (beam_sq[pos - 1] == d && beam_ids[pos - 1] > id))) {
+      beam_sq[pos] = beam_sq[pos - 1];
+      beam_ids[pos] = beam_ids[pos - 1];
+      expanded[pos] = expanded[pos - 1];
       --pos;
     }
-    scratch.beam_sq[static_cast<std::size_t>(pos)] = d;
-    scratch.beam_ids[static_cast<std::size_t>(pos)] = id;
-    scratch.expanded[static_cast<std::size_t>(pos)] = 0;
+    beam_sq[pos] = d;
+    beam_ids[pos] = id;
+    expanded[pos] = 0;
     if (count < width) ++count;
+    cursor = std::min(cursor, pos);
   };
 
+  // Scores cand_ids[0, m) and inserts them. Once the beam is full, one
+  // branch-free pass first keeps only the candidates that beat its worst
+  // (sq, id) as it stands now. The worst only improves while the batch is
+  // inserted, so the pass keeps every candidate that can still enter (for
+  // non-NaN distances) and the per-candidate insert still decides.
   const auto eval_batch = [&](index_t m) {
-    const batch::Tile t =
-        batch::gather(mirror_.lanes(), mirror_.stride(), dim,
-                      scratch.gather_ids.data(), m, scratch.tile.data(), tile_w);
-    batch::sq_dists(t, query, scratch.tile_sq.data());
+    batch::row_sq_dists(rows, dim, cand_ids, m, query, cand_sq);
     scratch.dist_evals += static_cast<std::uint64_t>(m);
-    for (index_t j = 0; j < m; ++j)
-      insert(scratch.tile_sq[static_cast<std::size_t>(j)],
-             scratch.gather_ids[static_cast<std::size_t>(j)]);
+    index_t kept = m;
+    if (count == width) {
+      const real_t wd = beam_sq[width - 1];
+      const index_t wi = beam_ids[width - 1];
+      kept = 0;
+      for (index_t j = 0; j < m; ++j) {
+        const real_t d = cand_sq[j];
+        const index_t id = cand_ids[j];
+        cand_sq[kept] = d;
+        cand_ids[kept] = id;
+        kept += static_cast<index_t>((d < wd) | ((d == wd) & (id < wi)));
+      }
+    }
+    for (index_t j = 0; j < kept; ++j) insert(cand_sq[j], cand_ids[j]);
   };
 
   // Query-independent seeds: every component representative first (so no
@@ -294,11 +301,11 @@ index_t KnnGraph::search(const real_t* query, index_t k, index_t beam,
   index_t m = 0;
   index_t seeded = 0;
   const auto seed = [&](index_t id) {
-    if (scratch.visited[static_cast<std::size_t>(id)] == gen) return;
-    scratch.visited[static_cast<std::size_t>(id)] = gen;
-    scratch.gather_ids[static_cast<std::size_t>(m++)] = id;
+    if (visited[id] == gen) return;
+    visited[id] = gen;
+    cand_ids[m++] = id;
     ++seeded;
-    if (m == tile_w) {
+    if (m == cap) {
       eval_batch(m);
       m = 0;
     }
@@ -311,38 +318,42 @@ index_t KnnGraph::search(const real_t* query, index_t k, index_t beam,
   // Best-first expansion: always the nearest unexpanded beam entry; stops
   // when the whole beam is expanded (anything discovered from here on would
   // have had to beat the current worst to enter the beam).
+  const std::size_t row_bytes = static_cast<std::size_t>(dim) * sizeof(real_t);
   for (;;) {
-    index_t p = -1;
-    for (index_t i = 0; i < count; ++i)
-      if (!scratch.expanded[static_cast<std::size_t>(i)]) {
-        p = i;
-        break;
-      }
-    if (p < 0) break;
-    scratch.expanded[static_cast<std::size_t>(p)] = 1;
+    while (cursor < count && expanded[cursor]) ++cursor;
+    if (cursor == count) break;
+    expanded[cursor] = 1;
     ++scratch.hops;
     // Symmetrized expansion: forward row plus reverse edges. The forward
     // graph alone is short-range -- without the reverse edges a beam seeded
     // far from the query cannot walk into its true neighborhood.
-    const index_t v = scratch.beam_ids[static_cast<std::size_t>(p)];
+    const index_t v = beam_ids[cursor];
     const index_t* row = neighbor_ids(v);
     const index_t* rev = reverse_ids(v);
     const index_t nrev = reverse_count(v);
+    // Branch-free visited stamps: every candidate is written, and only an
+    // unstamped one advances `fresh` (a stamped one is overwritten next).
     index_t fresh = 0;
     const auto visit = [&](index_t c) {
-      if (scratch.visited[static_cast<std::size_t>(c)] == gen) return;
-      scratch.visited[static_cast<std::size_t>(c)] = gen;
-      scratch.gather_ids[static_cast<std::size_t>(fresh++)] = c;
+      cand_ids[fresh] = c;
+      fresh += static_cast<index_t>(visited[c] != gen);
+      visited[c] = gen;
     };
     for (index_t slot = 0; slot < degree_; ++slot) visit(row[slot]);
     for (index_t slot = 0; slot < nrev; ++slot) visit(rev[slot]);
+    // Fetch the fresh candidates' rows ahead of the kernel's loads.
+    for (index_t j = 0; j < fresh; ++j) {
+      const char* p = reinterpret_cast<const char*>(rows + cand_ids[j] * dim);
+      for (std::size_t b = 0; b < row_bytes; b += kCacheLineBytes)
+        __builtin_prefetch(p + b);
+    }
     if (fresh > 0) eval_batch(fresh);
   }
 
   const index_t filled = std::min<index_t>(k, count);
   for (index_t j = 0; j < filled; ++j) {
-    out_sq[j] = scratch.beam_sq[static_cast<std::size_t>(j)];
-    out_ids[j] = scratch.beam_ids[static_cast<std::size_t>(j)];
+    out_sq[j] = beam_sq[j];
+    out_ids[j] = beam_ids[j];
   }
   PORTAL_OBS_COUNT("index/graph/queries", 1);
   PORTAL_OBS_COUNT("index/graph/hops", scratch.hops);

@@ -16,11 +16,13 @@
 //     query nodes, so each point's candidate list is filled by one task in
 //     the serial visiting order, and pruning only ever skips candidates
 //     farther than its final K-th distance.
-//   * SoA-mirror reuse: each row is re-scored through the batched SIMD
-//     kernels (kernels/batch.h) over a gathered dimension-major tile. The
-//     per-pair accumulation visits dimensions in ascending order, exactly
-//     like the scalar helpers, so every distance the graph reports is
-//     bitwise-equal to what the exact engine computes for the same pair.
+//   * One row kernel: the graph keeps its points point-contiguous
+//     (row-major at every dimension), and both the build's row re-scoring
+//     and the search's candidate distances run batch::row_sq_dists
+//     (kernels/batch.h) over scattered rows. The per-pair accumulation
+//     visits dimensions in ascending order, exactly like the scalar
+//     helpers, so every distance the graph reports is bitwise-equal to what
+//     the exact engine computes for the same pair.
 //   * Immutable after construction: a snapshot carries the graph alongside
 //     its trees (tree/snapshot.h), builds it over the snapshot's own
 //     kd-tree, and publishes it with the same epoch pointer swap; any
@@ -35,7 +37,6 @@
 
 #include "data/dataset.h"
 #include "tree/kdtree.h"
-#include "tree/soa_mirror.h"
 #include "util/common.h"
 
 namespace portal {
@@ -76,8 +77,9 @@ class KnnGraph {
   index_t dim() const { return data_.dim(); }
   /// Actual row width: min(options.degree, size - 1).
   index_t degree() const { return degree_; }
+  /// The graph's own copy of the points, row-major at every dimension (the
+  /// layout the search reads candidates in), in original order.
   const Dataset& data() const { return data_; }
-  const SoaMirror& mirror() const { return mirror_; }
   const KnnGraphStats& stats() const { return stats_; }
   /// The fixed search-seed permutation (a function of options.seed alone):
   /// a search enters the graph at every component representative, then at
@@ -108,16 +110,17 @@ class KnnGraph {
 
   /// Reusable per-thread search scratch; sized lazily, never shared. The
   /// visited stamps are O(size) but allocated once and generation-tagged, so
-  /// repeated searches touch only the entries they visit.
+  /// repeated searches touch only the entries they visit. One scratch may
+  /// serve graphs of any size in turn (a serve workspace keeps one across
+  /// publishes).
   struct SearchScratch {
     std::vector<std::uint64_t> visited;
     std::uint64_t generation = 0;
     std::vector<real_t> beam_sq;
     std::vector<index_t> beam_ids;
     std::vector<char> expanded;
-    std::vector<index_t> gather_ids;
-    std::vector<real_t> tile;     // gathered dimension-major candidate tile
-    std::vector<real_t> tile_sq;  // per-candidate squared distances
+    std::vector<index_t> cand_ids;  // one batch of candidates to score
+    std::vector<real_t> cand_sq;    // their squared distances
     // Per-search effort, overwritten by every call (the serve layer folds
     // them into TraversalStats).
     std::uint64_t hops = 0;
@@ -143,8 +146,7 @@ class KnnGraph {
                  index_t* out_ids) const;
 
  private:
-  Dataset data_;      // original order -- ids below are client ids
-  SoaMirror mirror_;  // dimension-major lanes over data_
+  Dataset data_;  // row-major, original order -- ids below are client ids
   index_t degree_ = 0;
   std::vector<index_t> adj_;  // size * degree ids, row-sorted by (sq, id)
   std::vector<real_t> adj_sq_;

@@ -82,10 +82,10 @@ bool routes_to_graph(const CompiledPlan& plan, const TreeSnapshot& snapshot,
 /// Answer one request against the snapshot's kd-tree -- or, when
 /// routes_to_graph holds, against its k-NN graph: beam search collects
 /// candidates whose distances are bitwise-equal to the exact engine's
-/// (gathered SoA tiles accumulate dimensions in the same ascending order),
-/// so approximate results are always a subset of the true point set with
-/// exact values; only completeness is approximate, bounded by the beam
-/// width. Live views filter tombstoned candidates and drain the visible
+/// (the graph's row kernel accumulates dimensions in the same ascending
+/// order), so approximate results are always a subset of the true point
+/// set with exact values; only completeness is approximate, bounded by the
+/// beam width. Live views filter tombstoned candidates and drain the visible
 /// delta slots exactly, like the descent paths. Reentrant: any number
 /// of threads may run queries against the same plan and snapshot, each with
 /// its own Workspace. Throws std::invalid_argument when the snapshot has no

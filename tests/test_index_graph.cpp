@@ -1,9 +1,10 @@
 // Tests for the exact k-NN graph index (src/index/knn_graph.h): rows equal
 // to the brute-force k-NN, build determinism (serial vs parallel and across
 // thread counts, bitwise), degenerate inputs, the bitwise-distance contract
-// of the gathered SIMD tiles, the beam-search recall floor at the default
-// width, and snapshot-swap consistency under concurrent approximate
-// readers. The IndexGraph* suites run in the ASan and TSan CI jobs (the
+// of the row kernel, the search against a reference beam search (answers,
+// hops and distance evaluations), one scratch across graph sizes, the
+// beam-search recall floor at the default width, and snapshot-swap
+// consistency under concurrent approximate readers. The IndexGraph* suites run in the ASan and TSan CI jobs (the
 // swap suite is the explicit concurrent-reader-during-publish TSan step).
 #include <gtest/gtest.h>
 #include <omp.h>
@@ -13,18 +14,21 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "data/generators.h"
 #include "index/knn_graph.h"
+#include "kernels/batch.h"
 #include "obs/trace.h"
 #include "problems/common.h"
 #include "problems/knn.h"
 #include "serve/engine.h"
 #include "serve/plan_cache.h"
 #include "tree/snapshot.h"
+#include "tree/soa_mirror.h"
 #include "util/rng.h"
 
 namespace portal {
@@ -333,6 +337,212 @@ TEST(IndexGraph, SearchIsExactWhenBeamCoversTheDataset) {
     for (std::size_t s = 0; s < want.size(); ++s) {
       EXPECT_EQ(sq[s], want[s].first) << "slot " << s;
       EXPECT_EQ(ids[s], want[s].second) << "slot " << s;
+    }
+  }
+}
+
+/// One search's answer and effort, for bitwise comparisons.
+struct SearchOutcome {
+  std::vector<real_t> sq;
+  std::vector<index_t> ids;
+  std::uint64_t hops = 0;
+  std::uint64_t dist_evals = 0;
+};
+
+void expect_same_outcome(const SearchOutcome& got, const SearchOutcome& want,
+                         const std::string& where) {
+  EXPECT_EQ(got.ids, want.ids) << where;
+  ASSERT_EQ(got.sq.size(), want.sq.size()) << where;
+  for (std::size_t s = 0; s < want.sq.size(); ++s)
+    EXPECT_EQ(got.sq[s], want.sq[s]) << where << " slot " << s;
+  EXPECT_EQ(got.hops, want.hops) << where;
+  EXPECT_EQ(got.dist_evals, want.dist_evals) << where;
+}
+
+SearchOutcome run_search(const KnnGraph& graph, const real_t* q, index_t k,
+                         index_t beam, KnnGraph::SearchScratch& scratch) {
+  SearchOutcome out;
+  out.sq.resize(static_cast<std::size_t>(k));
+  out.ids.resize(static_cast<std::size_t>(k));
+  const index_t got =
+      graph.search(q, k, beam, scratch, out.sq.data(), out.ids.data());
+  out.sq.resize(static_cast<std::size_t>(got));
+  out.ids.resize(static_cast<std::size_t>(got));
+  out.hops = scratch.hops;
+  out.dist_evals = scratch.dist_evals;
+  return out;
+}
+
+/// Reference beam search: the straightforward form of KnnGraph::search.
+/// Candidates are gathered from a dimension-major mirror into a tile and
+/// scored there, every scored candidate goes through the sorted insert, and
+/// the next entry to expand is found by a linear scan from the front. Seeds
+/// and expansion order follow the same rules (component representatives,
+/// then the seed permutation; forward row, then reverse edges).
+SearchOutcome reference_search(const KnnGraph& graph, const SoaMirror& mirror,
+                               const real_t* q, index_t k, index_t beam) {
+  const index_t n = graph.size();
+  const index_t dim = graph.dim();
+  const index_t K = graph.degree();
+  const index_t width = std::min<index_t>(std::max<index_t>(beam, k), n);
+
+  // Min-id representative of every connected component of the rows.
+  std::vector<index_t> parent(static_cast<std::size_t>(n));
+  for (index_t i = 0; i < n; ++i) parent[static_cast<std::size_t>(i)] = i;
+  const auto find = [&parent](index_t x) {
+    while (parent[static_cast<std::size_t>(x)] != x)
+      x = parent[static_cast<std::size_t>(x)];
+    return x;
+  };
+  for (index_t u = 0; u < n; ++u)
+    for (index_t s = 0; s < K; ++s) {
+      const index_t a = find(u);
+      const index_t b = find(graph.neighbor_ids(u)[s]);
+      if (a != b) parent[static_cast<std::size_t>(std::max(a, b))] = std::min(a, b);
+    }
+
+  SearchOutcome out;
+  std::vector<char> visited(static_cast<std::size_t>(n), 0);
+  std::vector<real_t> beam_sq;
+  std::vector<index_t> beam_ids;
+  std::vector<char> expanded;
+  const auto insert = [&](real_t d, index_t id) {
+    std::size_t pos = 0;
+    while (pos < beam_sq.size() &&
+           (beam_sq[pos] < d || (beam_sq[pos] == d && beam_ids[pos] < id)))
+      ++pos;
+    if (pos >= static_cast<std::size_t>(width)) return;
+    beam_sq.insert(beam_sq.begin() + static_cast<std::ptrdiff_t>(pos), d);
+    beam_ids.insert(beam_ids.begin() + static_cast<std::ptrdiff_t>(pos), id);
+    expanded.insert(expanded.begin() + static_cast<std::ptrdiff_t>(pos), 0);
+    if (beam_sq.size() > static_cast<std::size_t>(width)) {
+      beam_sq.pop_back();
+      beam_ids.pop_back();
+      expanded.pop_back();
+    }
+  };
+  // Gathered dimension-major tile of the candidates, scored lane by lane.
+  const auto score = [&](const std::vector<index_t>& ids) {
+    const index_t m = static_cast<index_t>(ids.size());
+    std::vector<real_t> tile(static_cast<std::size_t>(dim * m));
+    for (index_t d = 0; d < dim; ++d)
+      for (index_t j = 0; j < m; ++j)
+        tile[static_cast<std::size_t>(d * m + j)] =
+            mirror.lane(d)[ids[static_cast<std::size_t>(j)]];
+    std::vector<real_t> sq(static_cast<std::size_t>(m));
+    batch::sq_dists(batch::Tile{tile.data(), m, 0, m, dim}, q, sq.data());
+    out.dist_evals += static_cast<std::uint64_t>(m);
+    for (index_t j = 0; j < m; ++j)
+      insert(sq[static_cast<std::size_t>(j)], ids[static_cast<std::size_t>(j)]);
+  };
+
+  std::vector<index_t> seeds;
+  const auto seed = [&](index_t id) {
+    if (visited[static_cast<std::size_t>(id)]) return;
+    visited[static_cast<std::size_t>(id)] = 1;
+    seeds.push_back(id);
+  };
+  for (index_t i = 0; i < n; ++i)
+    if (find(i) == i) seed(i);
+  for (index_t j = 0;
+       j < n && static_cast<index_t>(seeds.size()) < width; ++j)
+    seed(graph.seed_order()[static_cast<std::size_t>(j)]);
+  score(seeds);
+
+  for (;;) {
+    std::size_t p = 0;
+    while (p < expanded.size() && expanded[p]) ++p;
+    if (p == expanded.size()) break;
+    expanded[p] = 1;
+    ++out.hops;
+    const index_t v = beam_ids[p];
+    std::vector<index_t> fresh;
+    const auto visit = [&](index_t c) {
+      if (visited[static_cast<std::size_t>(c)]) return;
+      visited[static_cast<std::size_t>(c)] = 1;
+      fresh.push_back(c);
+    };
+    for (index_t s = 0; s < K; ++s) visit(graph.neighbor_ids(v)[s]);
+    for (index_t s = 0; s < graph.reverse_count(v); ++s)
+      visit(graph.reverse_ids(v)[s]);
+    if (!fresh.empty()) score(fresh);
+  }
+  const std::size_t filled =
+      std::min(static_cast<std::size_t>(k), beam_sq.size());
+  out.sq.assign(beam_sq.begin(), beam_sq.begin() + static_cast<std::ptrdiff_t>(filled));
+  out.ids.assign(beam_ids.begin(), beam_ids.begin() + static_cast<std::ptrdiff_t>(filled));
+  return out;
+}
+
+// The search returns exactly what the reference beam search returns -- the
+// same (sq, id) lists, hops and distance evaluations -- for both input
+// layouts (column-major at d <= 4), beams from k to the whole dataset,
+// duplicated points (zero-distance ties) and integer-grid data, whose many
+// equal distances put ties at the beam's worst entry.
+TEST(IndexGraph, SearchMatchesReferenceBeamSearch) {
+  const index_t n = 400, k = 5;
+  for (const index_t dim : {index_t{2}, index_t{3}, index_t{4}, index_t{5},
+                            index_t{8}, index_t{32}}) {
+    Dataset mixture = make_gaussian_mixture(n, dim, 4, 100 + dim);
+    for (index_t i = 0; i < 12; ++i)  // exact duplicates
+      for (index_t d = 0; d < dim; ++d)
+        mixture.coord(200 + i, d) = mixture.coord(i, d);
+    const Dataset grid = make_grid_points(n, dim, 200 + dim);
+    const Dataset* const datasets[] = {&mixture, &grid};
+    for (const Dataset* data : datasets) {
+      const KnnGraph graph(*data, {});
+      SoaMirror mirror;
+      mirror.build(graph.data(), false);
+      KnnGraph::SearchScratch scratch;
+      Rng rng(static_cast<std::uint64_t>(dim));
+      std::vector<real_t> q(static_cast<std::size_t>(dim));
+      for (int trial = 0; trial < 12; ++trial) {
+        const index_t base = static_cast<index_t>(
+            rng.uniform_index(static_cast<std::uint64_t>(n)));
+        data->copy_point(base, q.data());
+        // Grid queries stay on the grid (ties everywhere); mixture queries
+        // are jittered off a point, or the point itself (a duplicate).
+        if (data == &mixture && trial % 3 != 0)
+          for (index_t d = 0; d < dim; ++d)
+            q[static_cast<std::size_t>(d)] += rng.uniform(-0.05, 0.05);
+        for (const index_t beam : {k, index_t{16}, index_t{64}, n}) {
+          const std::string where =
+              "dim " + std::to_string(dim) +
+              (data == &grid ? " grid" : " mixture") + " trial " +
+              std::to_string(trial) + " beam " + std::to_string(beam);
+          expect_same_outcome(run_search(graph, q.data(), k, beam, scratch),
+                              reference_search(graph, mirror, q.data(), k, beam),
+                              where);
+        }
+      }
+    }
+  }
+}
+
+// A serve workspace keeps one SearchScratch across publishes, so one scratch
+// meets graphs that grow and shrink: its visited stamps are resized (and
+// their generation restarted) or reused with stale stamps from a larger
+// graph. Every answer equals a fresh scratch's, bitwise.
+TEST(IndexGraph, SharedScratchAcrossGraphSizes) {
+  const index_t dim = 16, k = 10, beam = 32;
+  KnnGraph::SearchScratch shared;
+  std::vector<real_t> q(static_cast<std::size_t>(dim));
+  std::uint64_t seed = 500;
+  for (const index_t n : {index_t{500}, index_t{4000}, index_t{200},
+                          index_t{4000}}) {
+    const Dataset data = make_gaussian_mixture(n, dim, 4, ++seed);
+    const KnnGraph graph(data, {});
+    Rng rng(seed);
+    for (int trial = 0; trial < 20; ++trial) {
+      data.copy_point(static_cast<index_t>(rng.uniform_index(
+                          static_cast<std::uint64_t>(n))),
+                      q.data());
+      q[0] += rng.uniform(-0.1, 0.1);
+      KnnGraph::SearchScratch fresh;
+      expect_same_outcome(run_search(graph, q.data(), k, beam, shared),
+                          run_search(graph, q.data(), k, beam, fresh),
+                          "n " + std::to_string(n) + " trial " +
+                              std::to_string(trial));
     }
   }
 }

@@ -617,25 +617,33 @@ int run_index(const Args& args) {
   std::vector<real_t> out_sq(static_cast<std::size_t>(k));
   std::vector<index_t> out_ids(static_cast<std::size_t>(k));
   for (const index_t beam : beams) {
-    std::uint64_t hits = 0;
+    std::uint64_t hits = 0, hops = 0, evals = 0;
     Timer probe;
     for (index_t q = 0; q < nq; ++q) {
       const index_t got = graph.search(queries[static_cast<std::size_t>(q)].data(),
                                        k, beam, scratch, out_sq.data(),
                                        out_ids.data());
+      hops += scratch.hops;
+      evals += scratch.dist_evals;
       const std::vector<index_t>& want = oracle[static_cast<std::size_t>(q)];
       for (index_t s = 0; s < got; ++s)
         if (std::find(want.begin(), want.end(), out_ids[static_cast<std::size_t>(s)]) !=
             want.end())
           ++hits;
     }
+    // Search effort per query, and the whole search's time per distance
+    // evaluation (seeding, visits and inserts included).
     const double elapsed = probe.elapsed_s();
-    std::printf("beam %4lld: recall@%lld %.4f | %.4f ms/query (%.0f QPS)\n",
+    std::printf("beam %4lld: recall@%lld %.4f | %.4f ms/query (%.0f QPS) | "
+                "%.1f hops/query, %.1f dist evals/query, %.1f ns/eval\n",
                 static_cast<long long>(beam), static_cast<long long>(k),
                 static_cast<double>(hits) /
                     static_cast<double>(nq * k),
                 elapsed * 1e3 / static_cast<double>(nq),
-                static_cast<double>(nq) / elapsed);
+                static_cast<double>(nq) / elapsed,
+                static_cast<double>(hops) / static_cast<double>(nq),
+                static_cast<double>(evals) / static_cast<double>(nq),
+                evals > 0 ? elapsed * 1e9 / static_cast<double>(evals) : 0.0);
   }
   return 0;
 }
