@@ -237,7 +237,7 @@ index_t KnnGraph::search(const real_t* query, index_t k, index_t beam,
   char* expanded = scratch.expanded.data();
   // Expansion scores one forward row plus up to 2x degree reverse edges;
   // seeds are scored in batches of the same size.
-  const index_t cap = std::max<index_t>(3 * degree_, batch::kRowBlock);
+  const index_t cap = std::max<index_t>(3 * degree_, 1);
   scratch.cand_ids.resize(static_cast<std::size_t>(cap));
   scratch.cand_sq.resize(static_cast<std::size_t>(cap));
   index_t* cand_ids = scratch.cand_ids.data();
@@ -270,28 +270,12 @@ index_t KnnGraph::search(const real_t* query, index_t k, index_t beam,
     cursor = std::min(cursor, pos);
   };
 
-  // Scores cand_ids[0, m) and inserts them. Once the beam is full, one
-  // branch-free pass first keeps only the candidates that beat its worst
-  // (sq, id) as it stands now. The worst only improves while the batch is
-  // inserted, so the pass keeps every candidate that can still enter (for
-  // non-NaN distances) and the per-candidate insert still decides.
+  // Scores cand_ids[0, m) and inserts each; the insert's own worst-entry
+  // test turns away the ones that cannot enter.
   const auto eval_batch = [&](index_t m) {
     batch::row_sq_dists(rows, dim, cand_ids, m, query, cand_sq);
     scratch.dist_evals += static_cast<std::uint64_t>(m);
-    index_t kept = m;
-    if (count == width) {
-      const real_t wd = beam_sq[width - 1];
-      const index_t wi = beam_ids[width - 1];
-      kept = 0;
-      for (index_t j = 0; j < m; ++j) {
-        const real_t d = cand_sq[j];
-        const index_t id = cand_ids[j];
-        cand_sq[kept] = d;
-        cand_ids[kept] = id;
-        kept += static_cast<index_t>((d < wd) | ((d == wd) & (id < wi)));
-      }
-    }
-    for (index_t j = 0; j < kept; ++j) insert(cand_sq[j], cand_ids[j]);
+    for (index_t j = 0; j < m; ++j) insert(cand_sq[j], cand_ids[j]);
   };
 
   // Query-independent seeds: every component representative first (so no
@@ -341,7 +325,9 @@ index_t KnnGraph::search(const real_t* query, index_t k, index_t beam,
     };
     for (index_t slot = 0; slot < degree_; ++slot) visit(row[slot]);
     for (index_t slot = 0; slot < nrev; ++slot) visit(rev[slot]);
-    // Fetch the fresh candidates' rows ahead of the kernel's loads.
+    // Fetch the fresh candidates' rows ahead of the kernel's loads. This
+    // pays once the points outgrow L2 (graph QPS +24% at n=16k, +47% at 60k,
+    // d=32; EXPERIMENTS.md); at 4k it is neutral.
     for (index_t j = 0; j < fresh; ++j) {
       const char* p = reinterpret_cast<const char*>(rows + cand_ids[j] * dim);
       for (std::size_t b = 0; b < row_bytes; b += kCacheLineBytes)

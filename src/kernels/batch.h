@@ -12,8 +12,8 @@
 // accumulation visits dimensions in the same ascending order).
 //
 // row_sq_dists is the one kernel over scattered point-contiguous rows (the
-// k-NN graph's beam-search candidates): lanes run across candidates, each
-// summing its dimensions in the same ascending order.
+// k-NN graph's candidates): one row at a time, dimensions in the same
+// ascending order.
 //
 // Lane utilization is observable through the obs counters emitted by
 // count_batch_tile / count_scalar_tail ("base/..."; see OBSERVABILITY.md).
@@ -48,41 +48,22 @@ struct Tile {
 /// substitution needs caller scratch of 2 * dim * kMahaBlock reals.
 inline constexpr index_t kMahaBlock = 8;
 
-/// Candidates row_sq_dists scores per lane block.
-inline constexpr index_t kRowBlock = 8;
-
 /// out[j] = ||q - rows[ids[j]]||^2 over scattered point-contiguous rows
 /// (`rows[i * dim + d]` is point i's d-th coordinate): the graph index's
-/// candidate distances, whose ids are not contiguous. Each candidate's
-/// coordinates are read as one row; blocks of kRowBlock candidates run one
-/// lane per candidate with dimensions in ascending order, the remainder
-/// runs scalar. Either way every pair's sum is bitwise the scalar
-/// ascending-dimension accumulation of problems/common.h.
+/// candidate distances, whose ids are not contiguous. Each candidate is read
+/// as one row and summed scalar in ascending dimension order, bitwise the
+/// accumulation of problems/common.h. Scalar on purpose: lanes across eight
+/// candidates (gathered loads) made serve-ann slower (EXPERIMENTS.md).
 inline void row_sq_dists(const real_t* rows, index_t dim, const index_t* ids,
                          index_t count, const real_t* qpt, real_t* out) {
-  index_t b = 0;
-  for (; b + kRowBlock <= count; b += kRowBlock) {
-    const real_t* r[kRowBlock];
-    for (index_t l = 0; l < kRowBlock; ++l) r[l] = rows + ids[b + l] * dim;
-    real_t acc[kRowBlock] = {};
-    for (index_t d = 0; d < dim; ++d) {
-      const real_t q = qpt[d];
-#pragma omp simd
-      for (index_t l = 0; l < kRowBlock; ++l) {
-        const real_t diff = r[l][d] - q;
-        acc[l] += diff * diff;
-      }
-    }
-    for (index_t l = 0; l < kRowBlock; ++l) out[b + l] = acc[l];
-  }
-  for (; b < count; ++b) {
-    const real_t* r = rows + ids[b] * dim;
+  for (index_t j = 0; j < count; ++j) {
+    const real_t* r = rows + ids[j] * dim;
     real_t acc = 0;
     for (index_t d = 0; d < dim; ++d) {
       const real_t diff = r[d] - qpt[d];
       acc += diff * diff;
     }
-    out[b] = acc;
+    out[j] = acc;
   }
 }
 
