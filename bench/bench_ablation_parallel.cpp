@@ -13,7 +13,6 @@
 #include "data/generators.h"
 #include "problems/kde.h"
 #include "problems/knn.h"
-#include "tree/balltree.h"
 #include "tree/kdtree.h"
 #include "util/threading.h"
 
@@ -100,11 +99,6 @@ int main(int argc, char** argv) {
           "bench/kd_build", [&] { KdTree t(pts, kDefaultLeafSize, parallel); }, 3);
       print_row({"kd", std::to_string(scaled), std::to_string(threads),
                  fmt(kd_s)});
-      const double ball_s = time_best(
-          "bench/ball_build", [&] { BallTree t(pts, kDefaultLeafSize, parallel); },
-          3);
-      print_row({"ball", std::to_string(scaled), std::to_string(threads),
-                 fmt(ball_s)});
     }
   }
   set_num_threads(hw_threads);

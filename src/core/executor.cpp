@@ -7,6 +7,7 @@
 
 #include <omp.h>
 
+#include "kernels/batch.h"
 #include "obs/trace.h"
 #include "problems/common.h"
 #include "traversal/multitree.h"
@@ -66,8 +67,9 @@ struct QueryState {
     if (t.is_reduction) {
       KnnList list(values.data() + qi * t.slots, ids.data() + qi * t.slots,
                    t.slots);
-      for (index_t j = 0; j < count; ++j)
-        if (!excluded(rbegin + j)) list.insert(t.sense * vals[j], rbegin + j);
+      list.insert_bulk(
+          count, rbegin, [&](index_t j) { return t.sense * vals[j]; },
+          [&](index_t j) { return !excluded(rbegin + j); });
     } else if (t.is_sum) {
       real_t acc = 0;
       for (index_t j = 0; j < count; ++j)
@@ -111,6 +113,7 @@ class GenericRules {
         workspaces_(num_threads()) {
     const index_t dim = qtree.data().dim();
     for (Workspace& ws : workspaces_) {
+      ws.lower.resize(batch::whole_blocks(qtree.stats().max_leaf_count));
       ws.qpt.resize(dim);
       ws.leaf.resize(dim, rtree.stats().max_leaf_count);
     }
@@ -180,16 +183,22 @@ class GenericRules {
                                 traits_.sense > 0 &&
                                 ev_.metric == MetricKind::SqEuclidean;
 
-    for (index_t qi = qnode.begin; qi < qnode.end; ++qi) {
-      qtree_.data().copy_point(qi, ws.qpt.data());
+    // The whole query leaf's point-to-box bounds in one pass.
+    if (point_prunable)
+      batch::box_sq_lower(qtree_.mirror().tile(qnode.begin, qnode.count()),
+                          rnode.box.lo_data(), rnode.box.hi_data(),
+                          ws.lower.data());
 
+    for (index_t qi = qnode.begin; qi < qnode.end; ++qi) {
       if (point_prunable) {
         const real_t worst = state_.values[qi * traits_.slots + (traits_.slots - 1)];
-        if (rnode.box.min_sq_dist_point(ws.qpt.data()) > worst) {
+        if (ws.lower[qi - qnode.begin] > worst) {
           leaf_bound = std::max(leaf_bound, worst);
           continue;
         }
       }
+
+      qtree_.data().copy_point(qi, ws.qpt.data());
 
       const real_t* vals = leaf_values(ev_, rtree_.data(), mirror_, rnode.begin,
                                        rnode.count(), ws.qpt.data(), ws.leaf);
@@ -219,6 +228,7 @@ class GenericRules {
 
  private:
   struct Workspace {
+    std::vector<real_t> lower; // the query leaf's point-to-box bounds
     std::vector<real_t> qpt;
     LeafScratch leaf;
   };

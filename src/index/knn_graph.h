@@ -1,8 +1,8 @@
 // Portal -- exact k-NN graph index for approximate high-dimensional
 // serving (DESIGN.md Sec. 18).
 //
-// kd/ball trees collapse toward brute force above d ~ 20, but the serving
-// workloads the paper targets reach d = 68. This module adds a fourth
+// kd-trees collapse toward brute force above d ~ 20, but the serving
+// workloads the paper targets reach d = 68. This module adds a third
 // spatial structure that trades a bounded, tunable amount of recall for
 // latency that stays flat in dimension: the exact k-nearest-neighbor graph,
 // queried with best-first beam search. Answers are exact in distance and

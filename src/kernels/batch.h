@@ -15,6 +15,12 @@
 // k-NN graph's candidates): one row at a time, dimensions in the same
 // ascending order.
 //
+// box_sq_lower runs the other way round: a tile of *query* points (a query
+// leaf of the tree's mirror) against one reference box, giving every row's
+// point-to-box lower bound in one pass. The expert k-NN, the executor's
+// point-prunable reduction base case and EMST's base case read it before
+// deciding which rows run a distance tile.
+//
 // Lane utilization is observable through the obs counters emitted by
 // count_batch_tile / count_scalar_tail ("base/..."; see OBSERVABILITY.md).
 #pragma once
@@ -43,6 +49,16 @@ struct Tile {
 
   const real_t* lane(index_t d) const { return lanes + d * stride + begin; }
 };
+
+/// Lanes per block of the whole-block kernels (box_sq_lower): one 64-byte
+/// vector of reals.
+inline constexpr index_t kLaneBlock = 8;
+
+/// `count` rounded up to whole kLaneBlock blocks: how many outputs a
+/// whole-block kernel writes for a tile of `count` lanes.
+inline constexpr index_t whole_blocks(index_t count) {
+  return (count + kLaneBlock - 1) / kLaneBlock * kLaneBlock;
+}
 
 /// Mahalanobis tiles are solved in lane blocks of this width; the forward
 /// substitution needs caller scratch of 2 * dim * kMahaBlock reals.
@@ -88,6 +104,37 @@ inline void sq_dists(const Tile& t, const real_t* qpt, real_t* out) {
     for (index_t j = 0; j < count; ++j) {
       const real_t diff = slice[j] - q;
       out[j] += diff * diff;
+    }
+  }
+}
+
+/// out[j] = squared L2 distance from lane j's point to the box [lo, hi]: the
+/// point-to-box lower bound of every query row of a leaf in one pass. The
+/// per-dimension gap is written as selects so the lane loop vectorizes; each
+/// lane is bitwise BBox::min_sq_dist_point (same gap, same ascending
+/// dimension order), NaN coordinates included (both compares fail, so the
+/// gap is 0). The loop runs whole kLaneBlock blocks, with no remainder
+/// loop: lanes t.count .. whole_blocks(t.count) read the points after the
+/// tile in the same slice (other points, or the slice's zero padding) and
+/// their outputs are to be ignored, so `out` must hold
+/// whole_blocks(t.count) reals. Only a tile whose last block would run past
+/// its slice's `stride` lanes runs the exact count. Whole blocks measured
+/// ~6% lower batch-knn solve time than an exact-count loop (EXPERIMENTS.md).
+inline void box_sq_lower(const Tile& t, const real_t* lo, const real_t* hi,
+                         real_t* out) {
+  const index_t blocks = whole_blocks(t.count);
+  const index_t count = t.begin + blocks <= t.stride ? blocks : t.count;
+#pragma omp simd
+  for (index_t j = 0; j < count; ++j) out[j] = 0;
+  for (index_t d = 0; d < t.dim; ++d) {
+    const real_t* slice = t.lane(d);
+    const real_t l = lo[d];
+    const real_t h = hi[d];
+#pragma omp simd
+    for (index_t j = 0; j < count; ++j) {
+      const real_t x = slice[j];
+      const real_t gap = x < l ? l - x : (x > h ? x - h : real_t{0});
+      out[j] += gap * gap;
     }
   }
 }

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <vector>
@@ -176,6 +177,46 @@ class KnnList {
     }
     dists_[pos] = dist;
     ids_[pos] = id;
+  }
+
+  /// insert(value(j), first_id + j) for every j in [0, count) with keep(j),
+  /// in ascending j: bitwise that per-candidate loop, with insert's early
+  /// return hoisted out of it. Each candidate is compared once against the
+  /// worst at entry with insert's own predicate, !(v >= worst), into a
+  /// 64-lane bitmask, and only set bits reach insert. Exact because inserts
+  /// only lower the worst, so a candidate the entry worst rejects, the
+  /// current worst rejects too. The one exception is a NaN candidate, which
+  /// insert parks in the worst slot: the worst then no longer compares below
+  /// the entry value, and the remaining candidates go through insert
+  /// unfiltered, as in the plain loop.
+  template <typename Value, typename Keep>
+  void insert_bulk(index_t count, index_t first_id, Value&& value, Keep&& keep) {
+    const real_t entry = worst();
+    for (index_t b = 0; b < count; b += 64) {
+      const index_t w = std::min<index_t>(64, count - b);
+      std::uint64_t mask = 0;
+      for (index_t j = 0; j < w; ++j)
+        mask |= static_cast<std::uint64_t>(keep(b + j) &
+                                           !(value(b + j) >= entry))
+                << j;
+      while (mask != 0) {
+        const index_t j = b + __builtin_ctzll(mask);
+        mask &= mask - 1;
+        insert(value(j), first_id + j);
+        if (!(worst() <= entry)) {
+          for (index_t rest = j + 1; rest < count; ++rest)
+            if (keep(rest)) insert(value(rest), first_id + rest);
+          return;
+        }
+      }
+    }
+  }
+
+  /// insert(dists[j], first_id + j) for j in [0, count), filtered as above.
+  void insert_bulk(const real_t* dists, index_t count, index_t first_id) {
+    insert_bulk(
+        count, first_id, [dists](index_t j) { return dists[j]; },
+        [](index_t) { return true; });
   }
 
  private:

@@ -7,6 +7,7 @@
 
 #include <omp.h>
 
+#include "kernels/batch.h"
 #include "problems/common.h"
 #include "traversal/multitree.h"
 #include "util/threading.h"
@@ -58,6 +59,7 @@ class EmstRules {
         workspaces_(num_threads()) {
     const index_t max_leaf = tree.stats().max_leaf_count;
     for (Workspace& ws : workspaces_) {
+      ws.lower.resize(batch::whole_blocks(max_leaf));
       ws.qpt.resize(tree.data().dim());
       ws.dists.resize(max_leaf);
     }
@@ -84,14 +86,18 @@ class EmstRules {
     Workspace& ws = workspaces_[omp_get_thread_num()];
     const index_t rcount = rnode.count();
 
+    // Point-level prune: the whole reference leaf may be farther than a
+    // point's current candidate. One bound pass covers the query leaf.
+    batch::box_sq_lower(tree_.mirror().tile(qnode.begin, qnode.count()),
+                        rnode.box.lo_data(), rnode.box.hi_data(),
+                        ws.lower.data());
+
     real_t leaf_bound = 0;
     for (index_t qi = qnode.begin; qi < qnode.end; ++qi) {
       const index_t qc = comp_[qi];
       real_t best = best_dist_[qi];
-      tree_.data().copy_point(qi, ws.qpt.data());
-      // Point-level prune: the whole reference leaf may be farther than this
-      // point's current candidate.
-      if (rnode.box.min_sq_dist_point(ws.qpt.data()) <= best) {
+      if (ws.lower[qi - qnode.begin] <= best) {
+        tree_.data().copy_point(qi, ws.qpt.data());
         sq_dists_to_range(tree_.data(), rnode.begin, rnode.end, ws.qpt.data(),
                           ws.dists.data());
         index_t best_j = best_to_[qi];
@@ -123,6 +129,7 @@ class EmstRules {
 
  private:
   struct Workspace {
+    std::vector<real_t> lower; // the query leaf's point-to-box bounds
     std::vector<real_t> qpt;
     std::vector<real_t> dists;
   };

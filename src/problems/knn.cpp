@@ -1,5 +1,6 @@
 #include "problems/knn.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -13,11 +14,14 @@
 namespace portal {
 namespace {
 
-/// Per-thread scratch: a contiguous copy of the current query point, a
-/// distance buffer covering the largest reference leaf, and the thread's
+/// Per-thread scratch: the query leaf's point-to-box lower bounds (whole
+/// lane blocks, see batch::box_sq_lower), a contiguous copy of the query
+/// row being evaluated (made only for rows whose bound lets them through),
+/// a distance buffer covering the largest reference leaf, and the thread's
 /// evaluated-pair count (cache-line aligned: the count is written per base
 /// case, next to other threads' slots).
 struct alignas(64) KnnWorkspace {
+  std::vector<real_t> lower;
   std::vector<real_t> qpt;
   std::vector<real_t> dists;
   std::uint64_t pair_evals = 0;
@@ -27,13 +31,13 @@ struct alignas(64) KnnWorkspace {
 ///   Prune: dmin(Nq, Nr) > B(Nq), where B(Nq) is the max over Nq's points of
 ///   their current k-th best distance, maintained per node and tightened
 ///   bottom-up as base cases improve leaf candidates.
-/// Templated over the tree type (kd-tree or ball tree): the node bound
-/// interface (`box.min_dist`, `box.min_sq_dist_point`) is all it needs --
-/// the "plug and play with different trees" abstraction of Sec. II.
-template <typename Tree>
+/// The base case works on the whole query leaf: one bound pass over the
+/// query tree's mirror gives every row's point-to-box lower bound, rows the
+/// bound rules out skip the reference leaf, and the rest run one distance
+/// tile whose candidates pass KnnList::insert_bulk's worst-distance filter.
 class KnnRules {
  public:
-  KnnRules(const Tree& qtree, const Tree& rtree, const KnnOptions& options,
+  KnnRules(const KdTree& qtree, const KdTree& rtree, const KnnOptions& options,
            std::vector<real_t>& dists, std::vector<index_t>& ids)
       : qtree_(qtree),
         rtree_(rtree),
@@ -43,10 +47,10 @@ class KnnRules {
         node_bounds_(qtree.num_nodes()),
         batch_(options.batch && !rtree.mirror().empty()),
         workspaces_(num_threads()) {
-    const index_t max_leaf = rtree.stats().max_leaf_count;
     for (KnnWorkspace& ws : workspaces_) {
+      ws.lower.resize(batch::whole_blocks(qtree.stats().max_leaf_count));
       ws.qpt.resize(qtree.data().dim());
-      ws.dists.resize(max_leaf);
+      ws.dists.resize(rtree.stats().max_leaf_count);
     }
   }
 
@@ -68,19 +72,28 @@ class KnnRules {
   }
 
   void base_case(index_t q, index_t r) {
-    const auto& qnode = qtree_.node(q);
-    const auto& rnode = rtree_.node(r);
+    const KdNode& qnode = qtree_.node(q);
+    const KdNode& rnode = rtree_.node(r);
     KnnWorkspace& ws = workspaces_[omp_get_thread_num()];
     const index_t k = options_.k;
+    const index_t qcount = qnode.count();
     const index_t rcount = rnode.count();
 
+    // Point-level prune before touching reference coordinates. Only the L2
+    // family has a point-to-box bound; other metrics use 0 (conservative).
+    if (l2_bound())
+      batch::box_sq_lower(qtree_.mirror().tile(qnode.begin, qcount),
+                          rnode.box.lo_data(), rnode.box.hi_data(),
+                          ws.lower.data());
+    else
+      std::fill_n(ws.lower.data(), qcount, real_t{0});
+
     real_t leaf_bound = 0;
-    for (index_t qi = qnode.begin; qi < qnode.end; ++qi) {
+    for (index_t i = 0; i < qcount; ++i) {
+      const index_t qi = qnode.begin + i;
       KnnList list(dists_.data() + qi * k, ids_.data() + qi * k, k);
-      qtree_.data().copy_point(qi, ws.qpt.data());
-      // Point-level prune before touching reference coordinates.
-      const real_t point_min = point_box_min(ws.qpt.data(), rnode.box);
-      if (point_min <= list.worst()) {
+      if (ws.lower[i] <= list.worst()) {
+        qtree_.data().copy_point(qi, ws.qpt.data());
         // Batched flavor streams the SoA mirror tile (same dimension-outer
         // accumulation order as dists_to_range, so results are identical).
         if (batch_) {
@@ -93,8 +106,7 @@ class KnnRules {
           batch::count_scalar_tail(rcount);
         }
         ws.pair_evals += static_cast<std::uint64_t>(rcount);
-        for (index_t j = 0; j < rcount; ++j)
-          list.insert(ws.dists[j], rnode.begin + j);
+        list.insert_bulk(ws.dists.data(), rcount, rnode.begin);
       }
       leaf_bound = std::max(leaf_bound, list.worst());
     }
@@ -104,7 +116,7 @@ class KnnRules {
     node_bounds_[q].store_min(leaf_bound);
     index_t parent = qnode.parent;
     while (parent >= 0) {
-      const auto& pnode = qtree_.node(parent);
+      const KdNode& pnode = qtree_.node(parent);
       const real_t combined = std::max(node_bounds_[pnode.left].load(),
                                        node_bounds_[pnode.right].load());
       if (combined >= node_bounds_[parent].load()) break;
@@ -121,20 +133,13 @@ class KnnRules {
                                                     : options_.metric;
   }
 
-  template <typename Bound>
-  real_t point_box_min(const real_t* qpt, const Bound& box) const {
-    switch (options_.metric) {
-      case MetricKind::Euclidean:
-      case MetricKind::SqEuclidean:
-        return box.min_sq_dist_point(qpt);
-      default:
-        // Conservative: skip point-level pruning for other metrics.
-        return 0;
-    }
+  bool l2_bound() const {
+    return options_.metric == MetricKind::Euclidean ||
+           options_.metric == MetricKind::SqEuclidean;
   }
 
-  const Tree& qtree_;
-  const Tree& rtree_;
+  const KdTree& qtree_;
+  const KdTree& rtree_;
   const KnnOptions& options_;
   std::vector<real_t>& dists_;
   std::vector<index_t>& ids_;
@@ -155,27 +160,6 @@ void validate(const Dataset& query, const Dataset& reference, index_t k) {
 void finalize_distances(MetricKind metric, std::vector<real_t>& dists) {
   if (metric == MetricKind::Euclidean)
     for (real_t& d : dists) d = std::sqrt(d);
-}
-
-/// Tree-generic dual-tree k-NN core (results in permuted order).
-template <typename Tree>
-KnnResult run_knn_dualtree(const Tree& qtree, const Tree& rtree,
-                           const KnnOptions& options) {
-  const index_t nq = qtree.data().size();
-  const index_t k = options.k;
-  KnnResult result;
-  result.k = k;
-  result.indices.assign(nq * k, -1);
-  result.distances.assign(nq * k, std::numeric_limits<real_t>::max());
-
-  KnnRules<Tree> rules(qtree, rtree, options, result.distances, result.indices);
-  TraversalOptions topt;
-  topt.parallel = options.parallel;
-  topt.task_depth = options.task_depth;
-  result.stats = dual_traverse(qtree, rtree, rules, topt);
-  result.stats.pair_evals = rules.pair_evals();
-  finalize_distances(options.metric, result.distances);
-  return result;
 }
 
 /// Un-permute a tree-order result: permuted row i describes original query
@@ -230,7 +214,21 @@ KnnResult knn_bruteforce(const Dataset& query, const Dataset& reference,
 
 KnnResult knn_dualtree_permuted(const KdTree& qtree, const KdTree& rtree,
                                 const KnnOptions& options) {
-  return run_knn_dualtree(qtree, rtree, options);
+  const index_t nq = qtree.data().size();
+  const index_t k = options.k;
+  KnnResult result;
+  result.k = k;
+  result.indices.assign(nq * k, -1);
+  result.distances.assign(nq * k, std::numeric_limits<real_t>::max());
+
+  KnnRules rules(qtree, rtree, options, result.distances, result.indices);
+  TraversalOptions topt;
+  topt.parallel = options.parallel;
+  topt.task_depth = options.task_depth;
+  result.stats = dual_traverse(qtree, rtree, rules, topt);
+  result.stats.pair_evals = rules.pair_evals();
+  finalize_distances(options.metric, result.distances);
+  return result;
 }
 
 KnnResult knn_expert(const Dataset& query, const Dataset& reference,
@@ -238,16 +236,7 @@ KnnResult knn_expert(const Dataset& query, const Dataset& reference,
   validate(query, reference, options.k);
   const KdTree qtree(query, options.leaf_size);
   const KdTree rtree(reference, options.leaf_size);
-  const KnnResult permuted = run_knn_dualtree(qtree, rtree, options);
-  return unpermute(permuted, query.size(), options.k, qtree.perm(), rtree.perm());
-}
-
-KnnResult knn_expert_balltree(const Dataset& query, const Dataset& reference,
-                              const KnnOptions& options) {
-  validate(query, reference, options.k);
-  const BallTree qtree(query, options.leaf_size);
-  const BallTree rtree(reference, options.leaf_size);
-  const KnnResult permuted = run_knn_dualtree(qtree, rtree, options);
+  const KnnResult permuted = knn_dualtree_permuted(qtree, rtree, options);
   return unpermute(permuted, query.size(), options.k, qtree.perm(), rtree.perm());
 }
 

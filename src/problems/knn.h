@@ -44,12 +44,6 @@ KnnResult knn_bruteforce(const Dataset& query, const Dataset& reference,
 KnnResult knn_expert(const Dataset& query, const Dataset& reference,
                      const KnnOptions& options);
 
-/// Same algorithm over ball trees instead of kd-trees -- the Sec. II
-/// "plug and play with different trees" abstraction in action. Ball bounds
-/// stay tight in high dimensions where boxes go vacuous.
-KnnResult knn_expert_balltree(const Dataset& query, const Dataset& reference,
-                              const KnnOptions& options);
-
 /// Dual-tree k-NN over pre-built trees (shared by the Portal executor, which
 /// owns tree construction). Results are in *permuted* (tree) order;
 /// `knn_expert` wraps this and un-permutes.

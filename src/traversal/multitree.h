@@ -19,7 +19,6 @@
 #include <omp.h>
 
 #include "obs/trace.h"
-#include "tree/balltree.h"
 #include "tree/kdtree.h"
 #include "tree/octree.h"
 #include "traversal/rules.h"
@@ -47,18 +46,7 @@ inline int tree_children(const Octree& tree, index_t node, index_t out[8]) {
   return count;
 }
 
-inline int tree_children(const BallTree& tree, index_t node, index_t out[8]) {
-  const BallNode& n = tree.node(node);
-  if (n.is_leaf()) return 0;
-  out[0] = n.left;
-  out[1] = n.right;
-  return 2;
-}
-
 inline bool tree_node_is_leaf(const KdTree& tree, index_t node) {
-  return tree.node(node).is_leaf();
-}
-inline bool tree_node_is_leaf(const BallTree& tree, index_t node) {
   return tree.node(node).is_leaf();
 }
 inline bool tree_node_is_leaf(const Octree& tree, index_t node) {
@@ -71,9 +59,6 @@ inline real_t tree_node_extent(const KdTree& tree, index_t node) {
 }
 inline real_t tree_node_extent(const Octree& tree, index_t node) {
   return tree.node(node).half_width * 2;
-}
-inline real_t tree_node_extent(const BallTree& tree, index_t node) {
-  return tree.node(node).box.widest_extent();
 }
 
 /// How a visited pair of non-leaf nodes is split (Algorithm 1 line 6-9).

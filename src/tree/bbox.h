@@ -29,6 +29,11 @@ class BBox {
   real_t center(index_t d) const { return (lo_[d] + hi_[d]) / 2; }
   real_t extent(index_t d) const { return hi_[d] - lo_[d]; }
 
+  /// Contiguous corner arrays [0, dim), for the batched bound pass
+  /// (batch::box_sq_lower).
+  const real_t* lo_data() const { return lo_.data(); }
+  const real_t* hi_data() const { return hi_.data(); }
+
   /// Grow to include a point given by a coordinate accessor.
   template <typename CoordFn>
   void include(CoordFn&& coord) {

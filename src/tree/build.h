@@ -1,8 +1,8 @@
 // Portal -- helpers shared by the space-partitioning tree builders.
 //
-// The kd-tree and ball tree both split at the positional median, so the
-// shape of the node array (preorder: node, left subtree, right subtree) is a
-// pure function of (point count, leaf size). `median_subtree_nodes` exposes
+// The kd-tree splits at the positional median, so the shape of the node
+// array (preorder: node, left subtree, right subtree) is a pure function of
+// (point count, leaf size). `median_subtree_nodes` exposes
 // that function, which is what lets the task-parallel builds pre-size the
 // node array and write every node into a slot whose index is known before
 // any child is built -- the parallel build is bit-for-bit identical to the

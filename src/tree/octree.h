@@ -33,7 +33,7 @@ struct OctreeNode {
   real_t side() const { return 2 * half_width; }
 };
 
-/// Structural summary plus build timing, mirroring KdTreeStats/BallTreeStats
+/// Structural summary plus build timing, mirroring KdTreeStats
 /// so benches report the build vs. traverse split uniformly across trees.
 struct OctreeStats {
   index_t num_nodes = 0;

@@ -23,9 +23,6 @@ std::shared_ptr<const TreeSnapshot> TreeSnapshot::build(
   // independent of each other and of later reads of source_.
   if (options.build_kd)
     snap->kd_ = std::make_shared<const KdTree>(*snap->source_, options.leaf_size);
-  if (options.build_ball)
-    snap->ball_ =
-        std::make_shared<const BallTree>(*snap->source_, options.leaf_size);
   if (options.build_octree) {
     const std::vector<real_t> unit_masses(
         static_cast<std::size_t>(snap->source_->size()), real_t{1});

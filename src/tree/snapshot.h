@@ -20,22 +20,20 @@
 #include <string>
 
 #include "index/knn_graph.h"
-#include "tree/balltree.h"
 #include "tree/kdtree.h"
 #include "tree/octree.h"
 
 namespace portal {
 
 /// Which indexes a snapshot materializes. The kd-tree is the serving
-/// default (every supported query runs on it); ball tree and octree are
-/// opt-in for workloads that want them (octree requires 3-D data and is
-/// built with unit masses unless the publisher supplies its own). The k-NN
-/// graph (index/knn_graph.h) is the opt-in fourth structure for approximate
+/// default (every supported query runs on it); the octree is opt-in for
+/// workloads that want it (it requires 3-D data and is built with unit
+/// masses unless the publisher supplies its own). The k-NN graph
+/// (index/knn_graph.h) is the opt-in third structure for approximate
 /// high-dimensional serving; `graph` holds its build knobs.
 struct SnapshotOptions {
   index_t leaf_size = kDefaultLeafSize;
   bool build_kd = true;
-  bool build_ball = false;
   bool build_octree = false;
   bool build_graph = false;
   KnnGraphOptions graph;
@@ -61,7 +59,6 @@ class TreeSnapshot {
 
   /// Null when the corresponding SnapshotOptions flag was off.
   const std::shared_ptr<const KdTree>& kd() const { return kd_; }
-  const std::shared_ptr<const BallTree>& ball() const { return ball_; }
   const std::shared_ptr<const Octree>& octree() const { return octree_; }
   const std::shared_ptr<const KnnGraph>& graph() const { return graph_; }
 
@@ -71,7 +68,6 @@ class TreeSnapshot {
   std::uint64_t epoch_ = 0;
   std::shared_ptr<const Dataset> source_;
   std::shared_ptr<const KdTree> kd_;
-  std::shared_ptr<const BallTree> ball_;
   std::shared_ptr<const Octree> octree_;
   std::shared_ptr<const KnnGraph> graph_;
 };

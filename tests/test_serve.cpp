@@ -385,7 +385,6 @@ TEST(Snapshot, PublishBuildsRequestedTrees) {
   EXPECT_EQ(slot.load(), nullptr);
 
   SnapshotOptions options;
-  options.build_ball = true;
   options.build_octree = true;
   auto snap = slot.publish(
       std::make_shared<const Dataset>(make_uniform(300, 3, 42)), options);
@@ -395,7 +394,6 @@ TEST(Snapshot, PublishBuildsRequestedTrees) {
   EXPECT_EQ(snap->dim(), 3);
   ASSERT_NE(snap->kd(), nullptr);
   EXPECT_EQ(snap->kd()->data().size(), 300);
-  ASSERT_NE(snap->ball(), nullptr);
   ASSERT_NE(snap->octree(), nullptr);
   EXPECT_EQ(slot.load().get(), snap.get());
   EXPECT_EQ(slot.current_epoch(), 1u);

@@ -609,21 +609,6 @@ TEST(SingleTraverse, WorksOnOctrees) {
   rules.tree = &tree;
   single_traverse(tree, rules);
   EXPECT_EQ(rules.points, static_cast<std::uint64_t>(set.positions.size()));
-
-  // Ball trees descend through the same frontier.
-  const Dataset data = make_gaussian_mixture(400, 3, 3, 79);
-  const BallTree ball(data, 8);
-  struct BallCount {
-    const BallTree* tree = nullptr;
-    std::uint64_t points = 0;
-    bool prune_or_take(index_t) { return false; }
-    void base_case(index_t node) {
-      points += static_cast<std::uint64_t>(tree->node(node).count());
-    }
-  } ball_rules;
-  ball_rules.tree = &ball;
-  single_traverse(ball, ball_rules);
-  EXPECT_EQ(ball_rules.points, static_cast<std::uint64_t>(data.size()));
 }
 
 } // namespace
@@ -764,19 +749,6 @@ TEST(SingleTraverse, DuplicateAndCollinearPointsAtLeafSizeOne) {
     kd_rules.qpt = qpt.data();
     single_traverse(kd, kd_rules);
     EXPECT_EQ(kd_rules.points, static_cast<std::uint64_t>(n)) << "shape " << shape;
-
-    const BallTree ball(data, 1);
-    struct BallCount {
-      const BallTree* tree = nullptr;
-      std::uint64_t points = 0;
-      bool prune_or_take(index_t) { return false; }
-      void base_case(index_t node) {
-        points += static_cast<std::uint64_t>(tree->node(node).count());
-      }
-    } ball_rules;
-    ball_rules.tree = &ball;
-    single_traverse(ball, ball_rules);
-    EXPECT_EQ(ball_rules.points, static_cast<std::uint64_t>(n)) << "shape " << shape;
   }
 }
 

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "data/generators.h"
-#include "tree/balltree.h"
 #include "tree/bbox.h"
 #include "tree/kdtree.h"
 #include "tree/octree.h"
@@ -267,25 +266,6 @@ TEST(KdTreeParallelBuild, LargeRandomMatchesSerial) {
   ExpectIdenticalKdTrees(serial, parallel);
 }
 
-TEST(BallTreeParallelBuild, MatchesSerial) {
-  set_num_threads(4);
-  const Dataset data = make_gaussian_mixture(20000, 3, 4, 34);
-  const BallTree serial(data, 16, false);
-  const BallTree parallel(data, 16, true);
-  ASSERT_EQ(serial.num_nodes(), parallel.num_nodes());
-  EXPECT_EQ(serial.perm(), parallel.perm());
-  for (index_t i = 0; i < serial.num_nodes(); ++i) {
-    const BallNode& a = serial.node(i);
-    const BallNode& b = parallel.node(i);
-    EXPECT_EQ(a.begin, b.begin) << "node " << i;
-    EXPECT_EQ(a.left, b.left) << "node " << i;
-    EXPECT_EQ(a.right, b.right) << "node " << i;
-    EXPECT_EQ(a.box.radius(), b.box.radius()) << "node " << i;
-    for (index_t d = 0; d < a.box.dim(); ++d)
-      EXPECT_EQ(a.box.center(d), b.box.center(d)) << "node " << i;
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Octree invariants.
 class OctreeInvariants : public testing::TestWithParam<std::tuple<index_t, index_t>> {};
@@ -372,7 +352,7 @@ TEST(Octree, HandlesCoincidentParticles) {
 }
 
 // ---------------------------------------------------------------------------
-// Octree parallel-build determinism (mirrors the kd/ball coverage above):
+// Octree parallel-build determinism (mirrors the kd coverage above):
 // `parallel_build` only parallelizes the materialization phase, so parallel
 // and serial builds must be bit-identical in every observable field.
 // ---------------------------------------------------------------------------
