@@ -66,7 +66,9 @@ INSTANTIATE_TEST_SUITE_P(
                     std::make_tuple(300, 7, 10, 8, false),
                     std::make_tuple(1000, 4, 2, 64, true),
                     std::make_tuple(128, 12, 4, 4, false),
-                    std::make_tuple(64, 1, 8, 8, false)));
+                    std::make_tuple(64, 1, 8, 8, false),
+                    // High dimension, where boxes overlap and little prunes.
+                    std::make_tuple(300, 40, 2, 8, false)));
 
 TEST(Knn, SelfQueryFindsSelfFirst) {
   const Dataset data = make_gaussian_mixture(300, 3, 2, 42);
@@ -176,7 +178,7 @@ TEST(Knn, ParallelMatchesSerial) {
 }
 
 // ---------------------------------------------------------------------------
-// KnnLeafPass: the per-leaf base cases (one batch::box_sq_lower pass over the
+// KnnLeafPass and KnnLeafPassByDim: the per-leaf base cases (one batch::box_sq_lower pass over the
 // query leaf, KnnList::insert_bulk's worst-distance filter) against a copy
 // of the per-point loop they replaced: one BBox::min_sq_dist_point call and
 // one KnnList::insert per candidate. Values must match bit for bit and ids
@@ -353,43 +355,47 @@ constexpr index_t kLeafPassDims[] = {1, 2, 3, 4, 5, 8, 17};
 constexpr Shape kLeafPassShapes[] = {Shape::Gaussian, Shape::Duplicated,
                                      Shape::Grid};
 
-TEST(KnnLeafPass, ExpertMatchesPerPointLoop) {
+/// The per-point walls run once per dimension of kLeafPassDims, so a failing
+/// layout or lane tail is named by its case (`.../d17`).
+class KnnLeafPassByDim : public testing::TestWithParam<index_t> {};
+
+TEST_P(KnnLeafPassByDim, ExpertMatchesPerPointLoop) {
+  const index_t dim = GetParam();
   for (const int threads : {1, 4}) {
     set_num_threads(threads);
-    for (const index_t dim : kLeafPassDims)
-      for (const Shape shape : kLeafPassShapes)
-        for (const index_t leaf : {index_t(1), index_t(64)})
-          for (const bool mono : {true, false}) {
-            const std::uint64_t seed = 1000 + 10 * static_cast<std::uint64_t>(dim);
-            const Dataset reference = make_shape(shape, 260, dim, seed);
-            const Dataset query =
-                mono ? reference : make_shape(shape, 171, dim, seed + 1);
-            const KdTree rtree(reference, leaf);
-            const KdTree qtree(query, leaf);
-            // k = 1, and k above the leaf size (k = 70 > 64 > 1).
-            for (const index_t k : {index_t(1), index_t(70)}) {
-              KnnOptions options;
-              options.k = k;
-              options.leaf_size = leaf;
-              options.parallel = threads > 1;
-              SCOPED_TRACE(std::string(shape_name(shape)) + " dim " +
-                           std::to_string(dim) + " leaf " + std::to_string(leaf) +
-                           " k " + std::to_string(k) + " threads " +
-                           std::to_string(threads) + (mono ? " mono" : " bi"));
-              const KnnResult want = per_point_knn(qtree, rtree, options);
-              const KnnResult got = knn_dualtree_permuted(qtree, rtree, options);
-              expect_bitwise_rows(want.distances, want.indices, got.distances,
-                                  got.indices);
-              // The same traversal: only the per-leaf cost changed. Counts
-              // are exact only without concurrent bound updates.
-              if (threads == 1) {
-                EXPECT_EQ(want.stats.pairs_visited, got.stats.pairs_visited);
-                EXPECT_EQ(want.stats.prunes, got.stats.prunes);
-                EXPECT_EQ(want.stats.base_cases, got.stats.base_cases);
-                EXPECT_EQ(want.stats.pair_evals, got.stats.pair_evals);
-              }
+    for (const Shape shape : kLeafPassShapes)
+      for (const index_t leaf : {index_t(1), index_t(64)})
+        for (const bool mono : {true, false}) {
+          const std::uint64_t seed = 1000 + 10 * static_cast<std::uint64_t>(dim);
+          const Dataset reference = make_shape(shape, 260, dim, seed);
+          const Dataset query =
+              mono ? reference : make_shape(shape, 171, dim, seed + 1);
+          const KdTree rtree(reference, leaf);
+          const KdTree qtree(query, leaf);
+          // k = 1, and k above the leaf size (k = 70 > 64 > 1).
+          for (const index_t k : {index_t(1), index_t(70)}) {
+            KnnOptions options;
+            options.k = k;
+            options.leaf_size = leaf;
+            options.parallel = threads > 1;
+            SCOPED_TRACE(std::string(shape_name(shape)) + " dim " +
+                         std::to_string(dim) + " leaf " + std::to_string(leaf) +
+                         " k " + std::to_string(k) + " threads " +
+                         std::to_string(threads) + (mono ? " mono" : " bi"));
+            const KnnResult want = per_point_knn(qtree, rtree, options);
+            const KnnResult got = knn_dualtree_permuted(qtree, rtree, options);
+            expect_bitwise_rows(want.distances, want.indices, got.distances,
+                                got.indices);
+            // The same traversal: only the per-leaf cost changed. Counts
+            // are exact only without concurrent bound updates.
+            if (threads == 1) {
+              EXPECT_EQ(want.stats.pairs_visited, got.stats.pairs_visited);
+              EXPECT_EQ(want.stats.prunes, got.stats.prunes);
+              EXPECT_EQ(want.stats.base_cases, got.stats.base_cases);
+              EXPECT_EQ(want.stats.pair_evals, got.stats.pair_evals);
             }
           }
+        }
   }
   set_num_threads(4);
 }
@@ -450,54 +456,54 @@ TEST(KnnLeafPass, BulkInsertMatchesPerCandidateInserts) {
       }
 }
 
-TEST(KnnLeafPass, ExecutorKargminMatchesPerPointLoop) {
+TEST_P(KnnLeafPassByDim, ExecutorKargminMatchesPerPointLoop) {
   // The VM engine's point-prunable reduction base case against the same
   // oracle over the same trees (the executor builds them with the config's
   // leaf size).
+  const index_t dim = GetParam();
   for (const int threads : {1, 4}) {
     set_num_threads(threads);
-    for (const index_t dim : kLeafPassDims)
-      for (const Shape shape : kLeafPassShapes)
-        for (const index_t leaf : {index_t(1), index_t(64)}) {
-          const std::uint64_t seed = 2000 + 10 * static_cast<std::uint64_t>(dim);
-          const Dataset rd = make_shape(shape, 230, dim, seed);
-          const Dataset qd = make_shape(shape, 157, dim, seed + 1);
-          for (const index_t k : {index_t(1), index_t(70)}) {
-            SCOPED_TRACE(std::string(shape_name(shape)) + " dim " +
-                         std::to_string(dim) + " leaf " + std::to_string(leaf) +
-                         " k " + std::to_string(k) + " threads " +
-                         std::to_string(threads));
-            Storage query(qd), reference(rd);
-            PortalExpr expr;
-            expr.addLayer(PortalOp::FORALL, query);
-            expr.addLayer({PortalOp::KARGMIN, k}, reference, PortalFunc::EUCLIDEAN);
-            PortalConfig config;
-            config.engine = Engine::VM;
-            config.leaf_size = leaf;
-            config.parallel = threads > 1;
-            expr.execute(config);
-            const OutputData& out = expr.getOutput().output();
+    for (const Shape shape : kLeafPassShapes)
+      for (const index_t leaf : {index_t(1), index_t(64)}) {
+        const std::uint64_t seed = 2000 + 10 * static_cast<std::uint64_t>(dim);
+        const Dataset rd = make_shape(shape, 230, dim, seed);
+        const Dataset qd = make_shape(shape, 157, dim, seed + 1);
+        for (const index_t k : {index_t(1), index_t(70)}) {
+          SCOPED_TRACE(std::string(shape_name(shape)) + " dim " +
+                       std::to_string(dim) + " leaf " + std::to_string(leaf) +
+                       " k " + std::to_string(k) + " threads " +
+                       std::to_string(threads));
+          Storage query(qd), reference(rd);
+          PortalExpr expr;
+          expr.addLayer(PortalOp::FORALL, query);
+          expr.addLayer({PortalOp::KARGMIN, k}, reference, PortalFunc::EUCLIDEAN);
+          PortalConfig config;
+          config.engine = Engine::VM;
+          config.leaf_size = leaf;
+          config.parallel = threads > 1;
+          expr.execute(config);
+          const OutputData& out = expr.getOutput().output();
 
-            KnnOptions options;
-            options.k = k;
-            options.leaf_size = leaf;
-            options.parallel = threads > 1;
-            const KdTree qtree(qd, leaf);
-            const KdTree rtree(rd, leaf);
-            const KnnResult permuted = per_point_knn(qtree, rtree, options);
-            std::vector<real_t> want_values(permuted.distances.size());
-            std::vector<index_t> want_ids(permuted.indices.size());
-            for (index_t i = 0; i < qd.size(); ++i)
-              for (index_t j = 0; j < k; ++j) {
-                const std::size_t from = static_cast<std::size_t>(i * k + j);
-                const std::size_t to =
-                    static_cast<std::size_t>(qtree.perm()[i] * k + j);
-                want_values[to] = permuted.distances[from];
-                want_ids[to] = rtree.perm()[permuted.indices[from]];
-              }
-            expect_bitwise_rows(want_values, want_ids, out.values, out.indices);
-          }
+          KnnOptions options;
+          options.k = k;
+          options.leaf_size = leaf;
+          options.parallel = threads > 1;
+          const KdTree qtree(qd, leaf);
+          const KdTree rtree(rd, leaf);
+          const KnnResult permuted = per_point_knn(qtree, rtree, options);
+          std::vector<real_t> want_values(permuted.distances.size());
+          std::vector<index_t> want_ids(permuted.indices.size());
+          for (index_t i = 0; i < qd.size(); ++i)
+            for (index_t j = 0; j < k; ++j) {
+              const std::size_t from = static_cast<std::size_t>(i * k + j);
+              const std::size_t to =
+                  static_cast<std::size_t>(qtree.perm()[i] * k + j);
+              want_values[to] = permuted.distances[from];
+              want_ids[to] = rtree.perm()[permuted.indices[from]];
+            }
+          expect_bitwise_rows(want_values, want_ids, out.values, out.indices);
         }
+      }
   }
   set_num_threads(4);
 }
@@ -628,44 +634,49 @@ EmstResult per_point_emst(const Dataset& data, const EmstOptions& options) {
   return result;
 }
 
-TEST(KnnLeafPass, EmstMatchesPerPointLoop) {
+TEST_P(KnnLeafPassByDim, EmstMatchesPerPointLoop) {
+  const index_t dim = GetParam();
   for (const int threads : {1, 4}) {
     set_num_threads(threads);
-    for (const index_t dim : kLeafPassDims)
-      for (const Shape shape : kLeafPassShapes)
-        for (const index_t leaf : {index_t(1), index_t(64)}) {
-          SCOPED_TRACE(std::string(shape_name(shape)) + " dim " +
-                       std::to_string(dim) + " leaf " + std::to_string(leaf) +
-                       " threads " + std::to_string(threads));
-          const Dataset data =
-              make_shape(shape, 240, dim, 3000 + 10 * static_cast<std::uint64_t>(dim));
-          EmstOptions options;
-          options.leaf_size = leaf;
-          options.parallel = threads > 1;
-          const EmstResult want = per_point_emst(data, options);
-          const EmstResult got = emst_expert(data, options);
-          ASSERT_EQ(want.edges.size(), got.edges.size());
-          EXPECT_TRUE(same_bits(want.total_weight, got.total_weight));
-          EXPECT_EQ(want.boruvka_rounds, got.boruvka_rounds);
-          std::size_t diffs = 0;
-          for (std::size_t e = 0; e < want.edges.size(); ++e)
-            if ((want.edges[e].a != got.edges[e].a ||
-                 want.edges[e].b != got.edges[e].b ||
-                 !same_bits(want.edges[e].weight, got.edges[e].weight)) &&
-                diffs++ < 3)
-              ADD_FAILURE() << "edge " << e << ": (" << want.edges[e].a << ","
-                            << want.edges[e].b << "," << want.edges[e].weight
-                            << ") vs (" << got.edges[e].a << "," << got.edges[e].b
-                            << "," << got.edges[e].weight << ")";
-          EXPECT_EQ(diffs, 0u);
-          if (threads == 1) {
-            EXPECT_EQ(want.stats.pairs_visited, got.stats.pairs_visited);
-            EXPECT_EQ(want.stats.prunes, got.stats.prunes);
-          }
+    for (const Shape shape : kLeafPassShapes)
+      for (const index_t leaf : {index_t(1), index_t(64)}) {
+        SCOPED_TRACE(std::string(shape_name(shape)) + " dim " +
+                     std::to_string(dim) + " leaf " + std::to_string(leaf) +
+                     " threads " + std::to_string(threads));
+        const Dataset data =
+            make_shape(shape, 240, dim, 3000 + 10 * static_cast<std::uint64_t>(dim));
+        EmstOptions options;
+        options.leaf_size = leaf;
+        options.parallel = threads > 1;
+        const EmstResult want = per_point_emst(data, options);
+        const EmstResult got = emst_expert(data, options);
+        ASSERT_EQ(want.edges.size(), got.edges.size());
+        EXPECT_TRUE(same_bits(want.total_weight, got.total_weight));
+        EXPECT_EQ(want.boruvka_rounds, got.boruvka_rounds);
+        std::size_t diffs = 0;
+        for (std::size_t e = 0; e < want.edges.size(); ++e)
+          if ((want.edges[e].a != got.edges[e].a ||
+               want.edges[e].b != got.edges[e].b ||
+               !same_bits(want.edges[e].weight, got.edges[e].weight)) &&
+              diffs++ < 3)
+            ADD_FAILURE() << "edge " << e << ": (" << want.edges[e].a << ","
+                          << want.edges[e].b << "," << want.edges[e].weight
+                          << ") vs (" << got.edges[e].a << "," << got.edges[e].b
+                          << "," << got.edges[e].weight << ")";
+        EXPECT_EQ(diffs, 0u);
+        if (threads == 1) {
+          EXPECT_EQ(want.stats.pairs_visited, got.stats.pairs_visited);
+          EXPECT_EQ(want.stats.prunes, got.stats.prunes);
         }
+      }
   }
   set_num_threads(4);
 }
+
+INSTANTIATE_TEST_SUITE_P(Dims, KnnLeafPassByDim, testing::ValuesIn(kLeafPassDims),
+                         [](const testing::TestParamInfo<index_t>& info) {
+                           return "d" + std::to_string(info.param);
+                         });
 
 } // namespace
 } // namespace portal
