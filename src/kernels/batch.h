@@ -15,11 +15,20 @@
 // k-NN graph's candidates): one row at a time, dimensions in the same
 // ascending order.
 //
-// box_sq_lower runs the other way round: a tile of *query* points (a query
-// leaf of the tree's mirror) against one reference box, giving every row's
-// point-to-box lower bound in one pass. The expert k-NN, the executor's
-// point-prunable reduction base case and EMST's base case read it before
-// deciding which rows run a distance tile.
+// box_sq_lower and box_sq_bounds run the other way round: a tile of *query*
+// points (a query leaf of the tree's mirror) against one reference box,
+// giving every row's point-to-box lower bound (and, for box_sq_bounds, upper
+// bound) in one pass. The expert k-NN, the executor's point-prunable
+// reduction base case and EMST's base case read the lower bound before
+// deciding which rows run a distance tile; the expert KDE reads both to
+// decide which rows take the centre value instead of a tile.
+//
+// Whole-block kernels (box_sq_lower, box_sq_bounds, gaussian_sq_sum) run
+// their lane loops over whole kLaneBlock blocks, so no lane falls to a
+// scalar remainder. Lanes past the real count are computed and ignored:
+// their buffers must be readable (and, for outputs, writable) up to
+// whole_blocks(count). whole_block_tile widens a mirror tile the same way,
+// with the exact count when the last block would leave its slice.
 //
 // Lane utilization is observable through the obs counters emitted by
 // count_batch_tile / count_scalar_tail ("base/..."; see OBSERVABILITY.md).
@@ -50,14 +59,30 @@ struct Tile {
   const real_t* lane(index_t d) const { return lanes + d * stride + begin; }
 };
 
-/// Lanes per block of the whole-block kernels (box_sq_lower): one 64-byte
-/// vector of reals.
+/// Lanes per block of the whole-block kernels (box_sq_lower, box_sq_bounds,
+/// gaussian_sq_sum): one 64-byte vector of reals.
 inline constexpr index_t kLaneBlock = 8;
 
 /// `count` rounded up to whole kLaneBlock blocks: how many outputs a
 /// whole-block kernel writes for a tile of `count` lanes.
 inline constexpr index_t whole_blocks(index_t count) {
   return (count + kLaneBlock - 1) / kLaneBlock * kLaneBlock;
+}
+
+/// Lanes a whole-block kernel runs for tile `t`: whole_blocks(t.count) when
+/// those stay inside its slice (the extra lanes read the points after the
+/// tile, or the slice's zero padding, and are to be ignored), otherwise the
+/// exact count.
+inline index_t whole_block_count(const Tile& t) {
+  const index_t blocks = whole_blocks(t.count);
+  return t.begin + blocks <= t.stride ? blocks : t.count;
+}
+
+/// `t` widened to whole_block_count(t) lanes, for the exact-count kernels
+/// (sq_dists) when the caller wants whole blocks.
+inline Tile whole_block_tile(Tile t) {
+  t.count = whole_block_count(t);
+  return t;
 }
 
 /// Mahalanobis tiles are solved in lane blocks of this width; the forward
@@ -113,17 +138,13 @@ inline void sq_dists(const Tile& t, const real_t* qpt, real_t* out) {
 /// per-dimension gap is written as selects so the lane loop vectorizes; each
 /// lane is bitwise BBox::min_sq_dist_point (same gap, same ascending
 /// dimension order), NaN coordinates included (both compares fail, so the
-/// gap is 0). The loop runs whole kLaneBlock blocks, with no remainder
-/// loop: lanes t.count .. whole_blocks(t.count) read the points after the
-/// tile in the same slice (other points, or the slice's zero padding) and
-/// their outputs are to be ignored, so `out` must hold
-/// whole_blocks(t.count) reals. Only a tile whose last block would run past
-/// its slice's `stride` lanes runs the exact count. Whole blocks measured
-/// ~6% lower batch-knn solve time than an exact-count loop (EXPERIMENTS.md).
+/// gap is 0). The loop runs whole_block_count(t) lanes, so `out` must hold
+/// whole_blocks(t.count) reals and lanes past t.count are to be ignored.
+/// Whole blocks measured ~6% lower batch-knn solve time than an exact-count
+/// loop (EXPERIMENTS.md).
 inline void box_sq_lower(const Tile& t, const real_t* lo, const real_t* hi,
                          real_t* out) {
-  const index_t blocks = whole_blocks(t.count);
-  const index_t count = t.begin + blocks <= t.stride ? blocks : t.count;
+  const index_t count = whole_block_count(t);
 #pragma omp simd
   for (index_t j = 0; j < count; ++j) out[j] = 0;
   for (index_t d = 0; d < t.dim; ++d) {
@@ -135,6 +156,38 @@ inline void box_sq_lower(const Tile& t, const real_t* lo, const real_t* hi,
       const real_t x = slice[j];
       const real_t gap = x < l ? l - x : (x > h ? x - h : real_t{0});
       out[j] += gap * gap;
+    }
+  }
+}
+
+/// lower[j] and upper[j] = the squared L2 distances from lane j's point to
+/// the nearest and farthest points of the box [lo, hi], in one pass. Each
+/// lower lane is bitwise box_sq_lower's (BBox::min_sq_dist_point); each
+/// upper lane is bitwise BBox::max_sq_dist_point: the farther corner
+/// distance picked as std::max picks it, so a NaN coordinate gives NaN in
+/// both. Whole blocks as box_sq_lower: both outputs must hold
+/// whole_blocks(t.count) reals.
+inline void box_sq_bounds(const Tile& t, const real_t* lo, const real_t* hi,
+                          real_t* lower, real_t* upper) {
+  const index_t count = whole_block_count(t);
+#pragma omp simd
+  for (index_t j = 0; j < count; ++j) {
+    lower[j] = 0;
+    upper[j] = 0;
+  }
+  for (index_t d = 0; d < t.dim; ++d) {
+    const real_t* slice = t.lane(d);
+    const real_t l = lo[d];
+    const real_t h = hi[d];
+#pragma omp simd
+    for (index_t j = 0; j < count; ++j) {
+      const real_t x = slice[j];
+      const real_t gap = x < l ? l - x : (x > h ? x - h : real_t{0});
+      const real_t to_lo = std::abs(x - l);
+      const real_t to_hi = std::abs(x - h);
+      const real_t far = to_lo < to_hi ? to_hi : to_lo;
+      lower[j] += gap * gap;
+      upper[j] += far * far;
     }
   }
 }
@@ -177,17 +230,22 @@ inline void gaussian_sq(const real_t* sq, index_t count, real_t inv_two_sigma_sq
 }
 
 /// Gaussian values summed over a lane of squared distances. The exp runs
-/// vectorized over chunks (gaussian_sq); the sum stays scalar in the same
+/// vectorized over chunks (gaussian_sq) in whole kLaneBlock blocks, so no
+/// lane falls to a scalar det_exp: `sq` must be readable up to
+/// whole_blocks(count), and the values of lanes count.. are computed and
+/// dropped. The sum stays scalar over the real `count` only, in the same
 /// ascending-j order as the scalar KDE base case, so the result is bitwise
-/// gaussian_sq followed by an ordered sum at any vector width.
+/// gaussian_sq followed by an ordered sum at any vector width, whatever the
+/// padding lanes hold.
 inline real_t gaussian_sq_sum(const real_t* sq, index_t count,
                               real_t inv_two_sigma_sq) {
   constexpr index_t kChunk = 64;
+  static_assert(kChunk % kLaneBlock == 0);
   alignas(64) real_t vals[kChunk];
   real_t total = 0;
   for (index_t b = 0; b < count; b += kChunk) {
     const index_t w = std::min(kChunk, count - b);
-    gaussian_sq(sq + b, w, inv_two_sigma_sq, vals);
+    gaussian_sq(sq + b, whole_blocks(w), inv_two_sigma_sq, vals);
     for (index_t j = 0; j < w; ++j) total += vals[j];
   }
   return total;

@@ -26,19 +26,23 @@ class KdeRules {
         densities_(densities),
         batch_(options.batch && !rtree.mirror().empty()),
         workspaces_(num_threads()) {
-    const index_t max_leaf = rtree.stats().max_leaf_count;
+    const index_t max_rleaf = rtree.stats().max_leaf_count;
+    const index_t max_qleaf = qtree.stats().max_leaf_count;
     const index_t dim = qtree.data().dim();
     for (Workspace& ws : workspaces_) {
       ws.qpt.resize(dim);
       ws.center.resize(dim);
-      ws.dists.resize(max_leaf);
+      ws.dists.resize(batch::whole_blocks(max_rleaf));
+      ws.rows.resize(3 * batch::whole_blocks(max_qleaf));
     }
   }
 
   /// Approximation condition (Sec. II-C): K(dmin) - K(dmax) <= tau means all
   /// pairs between the nodes contribute nearly the same kernel value, so the
   /// pair is replaced by the center contribution scaled by node density.
+  /// tau = 0 means exact: a zero-spread pair is not approximated either.
   bool prune_or_approx(index_t q, index_t r) {
+    if (tau_ <= 0) return false;
     const KdNode& qnode = qtree_.node(q);
     const KdNode& rnode = rtree_.node(r);
     const real_t dmin_sq = qnode.box.min_sq_dist(rnode.box);
@@ -70,20 +74,42 @@ class KdeRules {
     return qtree_.node(q).box.min_sq_dist(rtree_.node(r).box);
   }
 
+  /// The node rule once per query row: a row whose point-to-box bounds
+  /// against the reference box give K(lo) - K(hi) <= tau takes the centre
+  /// value K(|x - c_R|^2) * |R| and skips its tile (every pair's kernel value
+  /// and the centre's lie in [K(hi), K(lo)], so the per-pair error is at most
+  /// tau, as for the node rule). The other rows run the exact tile.
   void base_case(index_t q, index_t r) {
     const KdNode& qnode = qtree_.node(q);
     const KdNode& rnode = rtree_.node(r);
     Workspace& ws = workspaces_[omp_get_thread_num()];
+    const index_t qcount = qnode.count();
     const index_t rcount = rnode.count();
-    for (index_t qi = qnode.begin; qi < qnode.end; ++qi) {
+    const index_t lanes = batch::whole_blocks(qcount);
+    const real_t* k_near = ws.rows.data();
+    const real_t* k_far = k_near + lanes;
+    const real_t* k_centre = k_far + lanes;
+    const bool row_rule = tau_ > 0;
+    if (row_rule) row_kernel_values(qnode, rnode, ws);
+    const real_t weight = static_cast<real_t>(rcount);
+    index_t approximated = 0;
+    for (index_t i = 0; i < qcount; ++i) {
+      const index_t qi = qnode.begin + i;
+      if (row_rule && k_near[i] - k_far[i] <= tau_) {
+        densities_[qi] += k_centre[i] * weight;
+        ++approximated;
+        continue;
+      }
       qtree_.data().copy_point(qi, ws.qpt.data());
       real_t total = 0;
       if (batch_) {
-        // Distances evaluate lane-parallel off the SoA mirror; the exp-sum
-        // then adds in the same ascending-j order as the scalar path, so the
-        // result is bitwise-identical.
-        batch::sq_dists(rtree_.mirror().tile(rnode.begin, rcount),
-                        ws.qpt.data(), ws.dists.data());
+        // Distances evaluate lane-parallel off the SoA mirror, in whole lane
+        // blocks; the exp-sum then adds the real count in the same
+        // ascending-j order as the scalar path, so the result is
+        // bitwise-identical.
+        batch::sq_dists(
+            batch::whole_block_tile(rtree_.mirror().tile(rnode.begin, rcount)),
+            ws.qpt.data(), ws.dists.data());
         batch::count_batch_tile(rcount);
         total += batch::gaussian_sq_sum(ws.dists.data(), rcount,
                                         kernel_.inv_two_sigma_sq());
@@ -95,14 +121,59 @@ class KdeRules {
       }
       densities_[qi] += total;
     }
+    if (approximated > 0)
+      PORTAL_OBS_COUNT("rules/row_approximations",
+                       static_cast<std::uint64_t>(approximated));
   }
 
  private:
+  /// Per-thread scratch. `rows` holds the row rule's kernel values for a
+  /// query leaf, three runs of whole_blocks(count) reals: K at each row's
+  /// point-to-box lower bound, at its upper bound, and at its distance to
+  /// the reference box centre. `dists` covers the largest reference leaf in
+  /// whole lane blocks.
   struct Workspace {
     std::vector<real_t> qpt;
     std::vector<real_t> center;
     std::vector<real_t> dists;
+    std::vector<real_t> rows;
   };
+
+  /// Fills ws.rows for the query leaf against the reference box. Batched:
+  /// one bounds pass and one centre-distance pass over the query tree's
+  /// mirror, then one Gaussian pass over all three runs. Scalar: the same
+  /// values per row through BBox's point bounds and eval_sq, which each
+  /// lane equals bitwise, so both paths make the same decisions.
+  void row_kernel_values(const KdNode& qnode, const KdNode& rnode,
+                         Workspace& ws) {
+    const index_t qcount = qnode.count();
+    const index_t lanes = batch::whole_blocks(qcount);
+    real_t* k_near = ws.rows.data();
+    real_t* k_far = k_near + lanes;
+    real_t* k_centre = k_far + lanes;
+    rnode.box.center_point(ws.center.data());
+    if (batch_) {
+      const batch::Tile qtile = qtree_.mirror().tile(qnode.begin, qcount);
+      batch::box_sq_bounds(qtile, rnode.box.lo_data(), rnode.box.hi_data(),
+                           k_near, k_far);
+      batch::sq_dists(batch::whole_block_tile(qtile), ws.center.data(),
+                      k_centre);
+      batch::gaussian_sq(k_near, 3 * lanes, kernel_.inv_two_sigma_sq(), k_near);
+      return;
+    }
+    const index_t dim = qtree_.data().dim();
+    for (index_t i = 0; i < qcount; ++i) {
+      qtree_.data().copy_point(qnode.begin + i, ws.qpt.data());
+      k_near[i] = kernel_.eval_sq(rnode.box.min_sq_dist_point(ws.qpt.data()));
+      k_far[i] = kernel_.eval_sq(rnode.box.max_sq_dist_point(ws.qpt.data()));
+      real_t centre_sq = 0;
+      for (index_t d = 0; d < dim; ++d) {
+        const real_t diff = ws.qpt[d] - ws.center[d];
+        centre_sq += diff * diff;
+      }
+      k_centre[i] = kernel_.eval_sq(centre_sq);
+    }
+  }
 
   const KdTree& qtree_;
   const KdTree& rtree_;

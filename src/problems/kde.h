@@ -20,7 +20,7 @@ namespace portal {
 
 struct KdeOptions {
   real_t sigma = 1;       // Gaussian bandwidth
-  real_t tau = 1e-3;      // approximation threshold on the unnormalized kernel
+  real_t tau = 1e-3;      // approximation threshold on the unnormalized kernel (0 = exact)
   index_t leaf_size = kDefaultLeafSize;
   bool normalize = true;  // apply (2 pi sigma^2)^{-d/2} / N at the end
   bool parallel = true;
@@ -38,8 +38,10 @@ struct KdeResult {
 KdeResult kde_bruteforce(const Dataset& query, const Dataset& reference,
                          real_t sigma, bool normalize = true);
 
-/// Dual-tree approximate KDE. Per-query absolute error on the unnormalized
-/// kernel sum is bounded by tau * reference.size().
+/// Dual-tree approximate KDE. Node pairs and, inside base cases, single
+/// query rows whose kernel spread is at most tau take the centre value, so
+/// the per-query absolute error on the unnormalized kernel sum is bounded by
+/// tau * reference.size().
 KdeResult kde_expert(const Dataset& query, const Dataset& reference,
                      const KdeOptions& options);
 

@@ -19,6 +19,7 @@
 #include "data/generators.h"
 #include "kernels/gaussian.h"
 #include "problems/golden.h"
+#include "problems/kde.h"
 #include "util/csv.h"
 
 #ifndef PORTAL_GOLDEN_DIR
@@ -61,6 +62,27 @@ TEST(Golden, TablesMatchCommittedCsvs) {
         }
       }
   }
+}
+
+// The committed KDE table against an independent oracle: exact brute force,
+// normalized, within the approximation contract tau * |R| per query (every
+// approximated pair, by the node rule or the row rule, errs by at most tau)
+// at the table's tau = 1e-4, scaled by the normalization.
+TEST(Golden, KdeTableWithinTauOfBruteForce) {
+  const Dataset query = make_gaussian_mixture(123, 3, 3, kGoldenSeed);
+  const Dataset reference = make_gaussian_mixture(157, 3, 3, kGoldenSeed + 1);
+  const CsvTable committed = read_csv(std::string(PORTAL_GOLDEN_DIR) + "/kde.csv");
+  ASSERT_EQ(committed.rows, query.size());
+  ASSERT_EQ(committed.cols, 1);
+
+  const real_t sigma = 0.7;
+  const KdeResult brute = kde_bruteforce(query, reference, sigma, true);
+  const real_t norm = GaussianKernel(sigma).normalization(query.dim(), reference.size());
+  const real_t slack = real_t(1e-4) * static_cast<real_t>(reference.size()) * norm;
+  for (index_t i = 0; i < committed.rows; ++i)
+    EXPECT_NEAR(committed.values[i], brute.densities[i],
+                slack + kRelTolerance * std::abs(brute.densities[i]))
+        << "row " << i;
 }
 
 // The tables themselves must be non-degenerate -- a golden file of zeros

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "kernels/batch.h"
@@ -15,6 +16,7 @@
 #include "kernels/gaussian.h"
 #include "kernels/linalg.h"
 #include "kernels/metrics.h"
+#include "tree/bbox.h"
 #include "util/rng.h"
 
 namespace portal {
@@ -308,12 +310,20 @@ TEST(Gaussian, BatchedSumIsBitwiseEqualToOrderedLanes) {
   // The chunked exp-accumulate used by the batched KDE base case must equal
   // gaussian_sq lanes summed in ascending order, bit for bit, and each
   // vectorized lane must equal the scalar det_exp -- the contract that keeps
-  // the batched and scalar KDE leaves bitwise-identical.
+  // the batched and scalar KDE leaves bitwise-identical. gaussian_sq_sum
+  // reads whole lane blocks, so `sq` holds whole_blocks(count) reals; the
+  // padding lanes are poisoned (NaN, +-Inf, 1e308), and any of them reaching
+  // the sum would change it.
   Rng rng(99);
-  for (const index_t count : {index_t(1), index_t(15), index_t(16), index_t(33),
-                              index_t(64), index_t(65), index_t(130)}) {
-    std::vector<real_t> sq(count), vals(count);
-    for (real_t& v : sq) v = rng.uniform(0.0, 9.0);
+  const real_t poison[] = {std::numeric_limits<real_t>::quiet_NaN(),
+                           std::numeric_limits<real_t>::infinity(),
+                           -std::numeric_limits<real_t>::infinity(), 1e308};
+  for (index_t count = 1; count <= 70; ++count) {
+    SCOPED_TRACE("count " + std::to_string(count));
+    const index_t padded = batch::whole_blocks(count);
+    std::vector<real_t> sq(padded), vals(count);
+    for (index_t j = 0; j < count; ++j) sq[j] = rng.uniform(0.0, 9.0);
+    for (index_t j = count; j < padded; ++j) sq[j] = poison[(j - count) % 4];
     const real_t c = 0.37;
     batch::gaussian_sq(sq.data(), count, c, vals.data());
     real_t ordered = 0;
@@ -322,6 +332,67 @@ TEST(Gaussian, BatchedSumIsBitwiseEqualToOrderedLanes) {
       ordered += vals[j];
     }
     EXPECT_EQ(batch::gaussian_sq_sum(sq.data(), count, c), ordered);
+  }
+}
+
+bool same_bits(real_t a, real_t b) {
+  std::uint64_t ia, ib;
+  std::memcpy(&ia, &a, sizeof(ia));
+  std::memcpy(&ib, &b, sizeof(ib));
+  return ia == ib;
+}
+
+// batch::box_sq_bounds, the KDE row rule's bound pass: every lane's lower
+// bound is bitwise BBox::min_sq_dist_point and its upper bound bitwise
+// BBox::max_sq_dist_point, NaN and infinite coordinates included. The tiles
+// cover a leaf widened to whole blocks inside its slice and leaves whose last
+// block would leave the slice (they end at `stride` and run the exact
+// count); a sentinel past whole_blocks(count) shows nothing is written there.
+TEST(BoxSqBounds, LanesAreBitwisePointBounds) {
+  constexpr index_t kStride = 40;
+  const real_t nan = std::numeric_limits<real_t>::quiet_NaN();
+  const real_t inf = std::numeric_limits<real_t>::infinity();
+  const real_t sentinel = -12345;
+  Rng rng(2026);
+  for (const index_t dim : {1, 2, 3, 5, 8, 17}) {
+    SCOPED_TRACE("dim " + std::to_string(dim));
+    std::vector<real_t> lanes(static_cast<std::size_t>(dim * kStride));
+    for (real_t& v : lanes) v = rng.uniform(-3.0, 3.0);
+    lanes[3] = nan;                                  // point 3, dimension 0
+    lanes[(dim - 1) * kStride + 36] = nan;           // point 36, last dimension
+    lanes[(dim - 1) * kStride + 20] = inf;           // point 20, last dimension
+    lanes[17] = -inf;                                // point 17, dimension 0
+    BBox box(dim);
+    for (index_t j = 0; j < 4; ++j) {
+      std::vector<real_t> p(dim);
+      for (real_t& v : p) v = rng.uniform(-1.0, 1.5);
+      box.include_point(p.data());
+    }
+    const index_t tiles[][2] = {{0, 37}, {5, 9}, {32, 8}, {33, 7}, {29, 11}};
+    for (const auto& [begin, count] : tiles) {
+      SCOPED_TRACE("tile [" + std::to_string(begin) + ", +" +
+                   std::to_string(count) + ")");
+      const batch::Tile tile{lanes.data(), kStride, begin, count, dim};
+      const index_t padded = batch::whole_blocks(count);
+      std::vector<real_t> lower(padded + 1, sentinel), upper(padded + 1, sentinel);
+      batch::box_sq_bounds(tile, box.lo_data(), box.hi_data(), lower.data(),
+                           upper.data());
+      EXPECT_EQ(lower[padded], sentinel);
+      EXPECT_EQ(upper[padded], sentinel);
+      for (index_t j = 0; j < count; ++j) {
+        const real_t* p = lanes.data() + begin + j;
+        const real_t want_lo = box.min_sq_dist_point(p, kStride);
+        const real_t want_hi = box.max_sq_dist_point(p, kStride);
+        EXPECT_TRUE(same_bits(lower[j], want_lo))
+            << "lane " << j << ": " << lower[j] << " vs " << want_lo;
+        EXPECT_TRUE(same_bits(upper[j], want_hi))
+            << "lane " << j << ": " << upper[j] << " vs " << want_hi;
+      }
+      // The NaN points give NaN upper bounds (a NaN gap is 0 below).
+      if (begin <= 3 && 3 < begin + count) {
+        EXPECT_TRUE(std::isnan(upper[3 - begin]));
+      }
+    }
   }
 }
 

@@ -3,12 +3,20 @@
 // and normalization must turn kernel sums into densities.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "data/generators.h"
+#include "kernels/gaussian.h"
 #include "obs/trace.h"
+#include "problems/common.h"
 #include "problems/kde.h"
+#include "traversal/multitree.h"
+#include "tree/kdtree.h"
 #include "util/threading.h"
 
 namespace portal {
@@ -56,6 +64,37 @@ TEST(Kde, TauZeroIsExact) {
   for (index_t i = 0; i < data.size(); ++i)
     EXPECT_NEAR(expert.densities[i], brute.densities[i],
                 1e-9 * std::max(real_t(1), brute.densities[i]));
+}
+
+// tau = 0 means exact in the expert too: neither the node rule nor the row
+// rule may approximate, not even a zero-spread pair (300 copies of one point,
+// where K(dmin) == K(dmax) exactly), as in the rule core.
+TEST(Kde, TauZeroNeverApproximates) {
+  const Dataset mixture = make_gaussian_mixture(300, 3, 2, 31);
+  std::vector<std::vector<real_t>> points(300, {0.25, -0.5, 1.0});
+  for (index_t i = 0; i < mixture.size(); ++i)
+    points.push_back({mixture.coord(i, 0), mixture.coord(i, 1), mixture.coord(i, 2)});
+  const Dataset data = Dataset::from_points(points);
+  KdeOptions options;
+  options.sigma = 0.5;
+  options.tau = 0;
+  options.normalize = false;
+  options.parallel = false;
+
+  obs::set_enabled(true);
+  obs::reset();
+  const KdeResult expert = kde_expert(data, data, options);
+  const obs::TraceReport report = obs::collect();
+  obs::set_enabled(false);
+  obs::reset();
+
+  EXPECT_EQ(report.counter("rules/approximations"), 0u);
+  EXPECT_EQ(report.counter("rules/row_approximations"), 0u);
+  const KdeResult brute = kde_bruteforce(data, data, options.sigma, false);
+  for (index_t i = 0; i < data.size(); ++i)
+    EXPECT_NEAR(expert.densities[i], brute.densities[i],
+                1e-9 * std::max(real_t(1), brute.densities[i]))
+        << "query " << i;
 }
 
 TEST(Kde, LargerTauPrunesMore) {
@@ -150,6 +189,190 @@ TEST(Kde, ParallelMatchesSerial) {
     EXPECT_NEAR(a.densities[i], b.densities[i],
                 1e-9 * std::max(real_t(1), std::abs(a.densities[i])));
 }
+
+// ---------------------------------------------------------------------------
+// KdeLeafPass: the expert KDE base case (one bounds pass over the query leaf,
+// the row rule, whole-block Gaussian tiles) against a per-point copy of the
+// same rules. The oracle decides each row alone through BBox's point bounds
+// and sums exact rows one pair at a time in ascending order, so every density
+// must match bit for bit; for each approximated row it also checks every pair
+// the centre value stands for against tau.
+
+bool same_bits(real_t a, real_t b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+class PerRowKdeRules {
+ public:
+  PerRowKdeRules(const KdTree& qtree, const KdTree& rtree, real_t sigma,
+                 real_t tau, std::vector<real_t>& densities)
+      : qtree_(qtree),
+        rtree_(rtree),
+        kernel_(sigma),
+        tau_(tau),
+        densities_(densities),
+        qpt_(qtree.data().dim()),
+        centre_(qtree.data().dim()),
+        dists_(rtree.stats().max_leaf_count) {}
+
+  std::uint64_t approximated_rows = 0;
+  std::uint64_t pairs_checked = 0;
+  std::uint64_t pairs_beyond_tau = 0;
+
+  /// The expert's node rule, unchanged.
+  bool prune_or_approx(index_t q, index_t r) {
+    if (tau_ <= 0) return false;
+    const KdNode& qnode = qtree_.node(q);
+    const KdNode& rnode = rtree_.node(r);
+    const real_t kmax = kernel_.eval_sq(qnode.box.min_sq_dist(rnode.box));
+    const real_t kmin = kernel_.eval_sq(qnode.box.max_sq_dist(rnode.box));
+    if (kmax - kmin > tau_) return false;
+    qnode.box.center_point(qpt_.data());
+    rnode.box.center_point(centre_.data());
+    const real_t value = kernel_.eval_sq(sq_to_centre(qpt_.data())) *
+                         static_cast<real_t>(rnode.count());
+    for (index_t i = qnode.begin; i < qnode.end; ++i) densities_[i] += value;
+    return true;
+  }
+
+  real_t score(index_t q, index_t r) {
+    return qtree_.node(q).box.min_sq_dist(rtree_.node(r).box);
+  }
+
+  void base_case(index_t q, index_t r) {
+    const KdNode& qnode = qtree_.node(q);
+    const KdNode& rnode = rtree_.node(r);
+    rnode.box.center_point(centre_.data());
+    for (index_t qi = qnode.begin; qi < qnode.end; ++qi) {
+      qtree_.data().copy_point(qi, qpt_.data());
+      sq_dists_to_range(rtree_.data(), rnode.begin, rnode.end, qpt_.data(),
+                        dists_.data());
+      const real_t k_near = kernel_.eval_sq(rnode.box.min_sq_dist_point(qpt_.data()));
+      const real_t k_far = kernel_.eval_sq(rnode.box.max_sq_dist_point(qpt_.data()));
+      if (tau_ > 0 && k_near - k_far <= tau_) {
+        const real_t k_centre = kernel_.eval_sq(sq_to_centre(qpt_.data()));
+        for (index_t j = 0; j < rnode.count(); ++j) {
+          ++pairs_checked;
+          if (std::abs(kernel_.eval_sq(dists_[j]) - k_centre) > tau_)
+            ++pairs_beyond_tau;
+        }
+        densities_[qi] += k_centre * static_cast<real_t>(rnode.count());
+        ++approximated_rows;
+        continue;
+      }
+      real_t total = 0;
+      for (index_t j = 0; j < rnode.count(); ++j) total += kernel_.eval_sq(dists_[j]);
+      densities_[qi] += total;
+    }
+  }
+
+ private:
+  real_t sq_to_centre(const real_t* p) const {
+    real_t total = 0;
+    for (index_t d = 0; d < qtree_.data().dim(); ++d) {
+      const real_t diff = p[d] - centre_[d];
+      total += diff * diff;
+    }
+    return total;
+  }
+
+  const KdTree& qtree_;
+  const KdTree& rtree_;
+  GaussianKernel kernel_;
+  real_t tau_;
+  std::vector<real_t>& densities_;
+  std::vector<real_t> qpt_, centre_, dists_;
+};
+
+struct LeafPassCase {
+  Dataset query, reference;
+  real_t sigma, tau;
+};
+
+/// A query and a reference mixture in `dim` dimensions, with sigma scaled to
+/// the dimension so that every dimension sees both tiled and approximated
+/// rows.
+LeafPassCase leaf_pass_case(index_t dim) {
+  return {make_gaussian_mixture(900, dim, 3, 500 + dim),
+          make_gaussian_mixture(1100, dim, 3, 600 + dim),
+          real_t(0.35) * std::sqrt(static_cast<real_t>(dim)), real_t(1e-3)};
+}
+
+/// Expert densities (tree order, unnormalized) and its row-approximation
+/// count, read from the trace counters.
+std::pair<std::vector<real_t>, std::uint64_t> expert_leaf_pass(
+    const KdTree& qtree, const KdTree& rtree, const LeafPassCase& c, bool batch,
+    bool parallel) {
+  KdeOptions options;
+  options.sigma = c.sigma;
+  options.tau = c.tau;
+  options.normalize = false;
+  options.parallel = parallel;
+  options.batch = batch;
+  obs::set_enabled(true);
+  obs::reset();
+  KdeResult result = kde_dualtree_permuted(qtree, rtree, options);
+  const obs::TraceReport report = obs::collect();
+  obs::set_enabled(false);
+  obs::reset();
+  return {std::move(result.densities), report.counter("rules/row_approximations")};
+}
+
+void expect_bitwise(const std::vector<real_t>& want, const std::vector<real_t>& got) {
+  ASSERT_EQ(want.size(), got.size());
+  std::size_t diffs = 0;
+  for (std::size_t i = 0; i < want.size(); ++i)
+    if (!same_bits(want[i], got[i]) && diffs++ < 3)
+      ADD_FAILURE() << "row " << i << ": " << want[i] << " vs " << got[i];
+  EXPECT_EQ(diffs, 0u);
+}
+
+class KdeLeafPassByDim : public testing::TestWithParam<index_t> {};
+
+TEST_P(KdeLeafPassByDim, ExpertMatchesPerRowOracle) {
+  const LeafPassCase c = leaf_pass_case(GetParam());
+  const KdTree qtree(c.query, 16);
+  const KdTree rtree(c.reference, 16);
+
+  std::vector<real_t> oracle(c.query.size(), 0);
+  PerRowKdeRules rules(qtree, rtree, c.sigma, c.tau, oracle);
+  TraversalOptions topt;
+  topt.parallel = false;
+  dual_traverse(qtree, rtree, rules, topt);
+  EXPECT_GT(rules.approximated_rows, 0u) << "vacuous: no row was approximated";
+  EXPECT_GT(rules.pairs_checked, 0u);
+  EXPECT_EQ(rules.pairs_beyond_tau, 0u);
+
+  for (const bool batch : {true, false}) {
+    SCOPED_TRACE(batch ? "batched" : "scalar");
+    const auto [densities, row_approximations] =
+        expert_leaf_pass(qtree, rtree, c, batch, false);
+    expect_bitwise(oracle, densities);
+    EXPECT_EQ(row_approximations, rules.approximated_rows);
+  }
+}
+
+TEST_P(KdeLeafPassByDim, BatchedEqualsScalarAtOneAndFourThreads) {
+  const LeafPassCase c = leaf_pass_case(GetParam());
+  const KdTree qtree(c.query, 16);
+  const KdTree rtree(c.reference, 16);
+  const int saved = num_threads();
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    set_num_threads(threads);
+    const auto batched = expert_leaf_pass(qtree, rtree, c, true, true);
+    const auto scalar = expert_leaf_pass(qtree, rtree, c, false, true);
+    expect_bitwise(scalar.first, batched.first);
+    EXPECT_GT(batched.second, 0u);
+    EXPECT_EQ(batched.second, scalar.second);
+  }
+  set_num_threads(saved);
+}
+
+INSTANTIATE_TEST_SUITE_P(Dims, KdeLeafPassByDim, testing::Values(1, 2, 3, 5, 8),
+                         [](const testing::TestParamInfo<index_t>& info) {
+                           return "d" + std::to_string(info.param);
+                         });
 
 TEST(Kde, InvalidArgumentsThrow) {
   const Dataset a = make_uniform(10, 2, 25);
