@@ -27,8 +27,9 @@
 // their lane loops over whole kLaneBlock blocks, so no lane falls to a
 // scalar remainder. Lanes past the real count are computed and ignored:
 // their buffers must be readable (and, for outputs, writable) up to
-// whole_blocks(count). whole_block_tile widens a mirror tile the same way,
-// with the exact count when the last block would leave its slice.
+// whole_blocks(count). whole_block_count gives the lanes to run for a mirror
+// tile: whole blocks, or the exact count when the last block would leave its
+// slice.
 //
 // Lane utilization is observable through the obs counters emitted by
 // count_batch_tile / count_scalar_tail ("base/..."; see OBSERVABILITY.md).
@@ -76,13 +77,6 @@ inline constexpr index_t whole_blocks(index_t count) {
 inline index_t whole_block_count(const Tile& t) {
   const index_t blocks = whole_blocks(t.count);
   return t.begin + blocks <= t.stride ? blocks : t.count;
-}
-
-/// `t` widened to whole_block_count(t) lanes, for the exact-count kernels
-/// (sq_dists) when the caller wants whole blocks.
-inline Tile whole_block_tile(Tile t) {
-  t.count = whole_block_count(t);
-  return t;
 }
 
 /// Mahalanobis tiles are solved in lane blocks of this width; the forward

@@ -58,13 +58,9 @@ class KdeRules {
     Workspace& ws = workspaces_[omp_get_thread_num()];
     qnode.box.center_point(ws.qpt.data());
     rnode.box.center_point(ws.center.data());
-    real_t center_sq = 0;
-    for (index_t d = 0; d < qtree_.data().dim(); ++d) {
-      const real_t diff = ws.qpt[d] - ws.center[d];
-      center_sq += diff * diff;
-    }
     const real_t contribution =
-        kernel_.eval_sq(center_sq) * static_cast<real_t>(rnode.count());
+        kernel_.eval_sq(sq_to_centre(ws.qpt.data(), ws.center.data())) *
+        static_cast<real_t>(rnode.count());
     for (index_t i = qnode.begin; i < qnode.end; ++i)
       densities_[i] += contribution;
     return true;
@@ -107,9 +103,9 @@ class KdeRules {
         // blocks; the exp-sum then adds the real count in the same
         // ascending-j order as the scalar path, so the result is
         // bitwise-identical.
-        batch::sq_dists(
-            batch::whole_block_tile(rtree_.mirror().tile(rnode.begin, rcount)),
-            ws.qpt.data(), ws.dists.data());
+        batch::Tile rtile = rtree_.mirror().tile(rnode.begin, rcount);
+        rtile.count = batch::whole_block_count(rtile);
+        batch::sq_dists(rtile, ws.qpt.data(), ws.dists.data());
         batch::count_batch_tile(rcount);
         total += batch::gaussian_sq_sum(ws.dists.data(), rcount,
                                         kernel_.inv_two_sigma_sq());
@@ -156,23 +152,30 @@ class KdeRules {
       const batch::Tile qtile = qtree_.mirror().tile(qnode.begin, qcount);
       batch::box_sq_bounds(qtile, rnode.box.lo_data(), rnode.box.hi_data(),
                            k_near, k_far);
-      batch::sq_dists(batch::whole_block_tile(qtile), ws.center.data(),
-                      k_centre);
+      batch::Tile centre_tile = qtile;
+      centre_tile.count = batch::whole_block_count(qtile);
+      batch::sq_dists(centre_tile, ws.center.data(), k_centre);
       batch::gaussian_sq(k_near, 3 * lanes, kernel_.inv_two_sigma_sq(), k_near);
       return;
     }
-    const index_t dim = qtree_.data().dim();
     for (index_t i = 0; i < qcount; ++i) {
       qtree_.data().copy_point(qnode.begin + i, ws.qpt.data());
       k_near[i] = kernel_.eval_sq(rnode.box.min_sq_dist_point(ws.qpt.data()));
       k_far[i] = kernel_.eval_sq(rnode.box.max_sq_dist_point(ws.qpt.data()));
-      real_t centre_sq = 0;
-      for (index_t d = 0; d < dim; ++d) {
-        const real_t diff = ws.qpt[d] - ws.center[d];
-        centre_sq += diff * diff;
-      }
-      k_centre[i] = kernel_.eval_sq(centre_sq);
+      k_centre[i] =
+          kernel_.eval_sq(sq_to_centre(ws.qpt.data(), ws.center.data()));
     }
+  }
+
+  /// ||p - c||^2 summed in ascending dimension order (the order sq_dists'
+  /// lanes use).
+  real_t sq_to_centre(const real_t* p, const real_t* c) const {
+    real_t sq = 0;
+    for (index_t d = 0; d < qtree_.data().dim(); ++d) {
+      const real_t diff = p[d] - c[d];
+      sq += diff * diff;
+    }
+    return sq;
   }
 
   const KdTree& qtree_;

@@ -313,12 +313,13 @@ TEST(Gaussian, BatchedSumIsBitwiseEqualToOrderedLanes) {
   // the batched and scalar KDE leaves bitwise-identical. gaussian_sq_sum
   // reads whole lane blocks, so `sq` holds whole_blocks(count) reals; the
   // padding lanes are poisoned (NaN, +-Inf, 1e308), and any of them reaching
-  // the sum would change it.
+  // the sum would change it. Counts run past two 64-lane chunks, so the
+  // partial third chunk's offset is covered too.
   Rng rng(99);
   const real_t poison[] = {std::numeric_limits<real_t>::quiet_NaN(),
                            std::numeric_limits<real_t>::infinity(),
                            -std::numeric_limits<real_t>::infinity(), 1e308};
-  for (index_t count = 1; count <= 70; ++count) {
+  for (index_t count = 1; count <= 140; ++count) {
     SCOPED_TRACE("count " + std::to_string(count));
     const index_t padded = batch::whole_blocks(count);
     std::vector<real_t> sq(padded), vals(count);
