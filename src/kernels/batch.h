@@ -23,13 +23,19 @@
 // deciding which rows run a distance tile; the expert KDE reads both to
 // decide which rows take the centre value instead of a tile.
 //
-// Whole-block kernels (box_sq_lower, box_sq_bounds, gaussian_sq_sum) run
-// their lane loops over whole kLaneBlock blocks, so no lane falls to a
-// scalar remainder. Lanes past the real count are computed and ignored:
-// their buffers must be readable (and, for outputs, writable) up to
-// whole_blocks(count). whole_block_count gives the lanes to run for a mirror
-// tile: whole blocks, or the exact count when the last block would leave its
-// slice.
+// gaussian_row_sums, the expert KDE's pair tile, is turned round too: its
+// lanes are a block of query rows and the reference points stream through
+// in ascending order (the N-body inner loop: one lane per target), through
+// a transposed pair run that costs one det_exp per real pair while each
+// row's sum stays bitwise its ordered ascending-j sum.
+//
+// Whole-block kernels (box_sq_lower, box_sq_bounds, gaussian_sq_sum,
+// gaussian_row_sums) run their lane loops over whole kLaneBlock blocks, so
+// no lane falls to a scalar remainder. Lanes past the real count are
+// computed and ignored: their buffers must be readable (and, for outputs,
+// writable) up to whole_blocks(count). whole_block_count gives the lanes to
+// run for a mirror tile: whole blocks, or the exact count when the last
+// block would leave its slice.
 //
 // Lane utilization is observable through the obs counters emitted by
 // count_batch_tile / count_scalar_tail ("base/..."; see OBSERVABILITY.md).
@@ -61,7 +67,7 @@ struct Tile {
 };
 
 /// Lanes per block of the whole-block kernels (box_sq_lower, box_sq_bounds,
-/// gaussian_sq_sum): one 64-byte vector of reals.
+/// gaussian_sq_sum, gaussian_row_sums): one 64-byte vector of reals.
 inline constexpr index_t kLaneBlock = 8;
 
 /// `count` rounded up to whole kLaneBlock blocks: how many outputs a
@@ -111,7 +117,9 @@ inline void count_scalar_tail(index_t pairs) {
   PORTAL_OBS_COUNT("base/scalar_pairs", static_cast<std::uint64_t>(pairs));
 }
 
-/// out[j] = ||q - r_j||^2.
+/// out[j] = ||q - r_j||^2. The KDE pair tiles no longer call it (they run
+/// gaussian_row_sums); kept unchanged for the other base cases, the KDE row
+/// rule's centre distances, perfbench's tile timing and the tests.
 inline void sq_dists(const Tile& t, const real_t* qpt, real_t* out) {
   const index_t count = t.count;
 #pragma omp simd
@@ -230,7 +238,9 @@ inline void gaussian_sq(const real_t* sq, index_t count, real_t inv_two_sigma_sq
 /// dropped. The sum stays scalar over the real `count` only, in the same
 /// ascending-j order as the scalar KDE base case, so the result is bitwise
 /// gaussian_sq followed by an ordered sum at any vector width, whatever the
-/// padding lanes hold.
+/// padding lanes hold. No base case calls it any more (the expert KDE runs
+/// gaussian_row_sums, which gives every row this same sum); kept unchanged
+/// because perfbench's tile timing and the tests call it.
 inline real_t gaussian_sq_sum(const real_t* sq, index_t count,
                               real_t inv_two_sigma_sq) {
   constexpr index_t kChunk = 64;
@@ -243,6 +253,76 @@ inline real_t gaussian_sq_sum(const real_t* sq, index_t count,
     for (index_t j = 0; j < w; ++j) total += vals[j];
   }
   return total;
+}
+
+/// Reference points per chunk of gaussian_row_sums: a chunk's pair run holds
+/// at most kRowSumChunk * whole_blocks(rows) reals, so the scratch stays
+/// bounded by the query leaf whatever the reference leaf holds.
+inline constexpr index_t kRowSumChunk = 64;
+
+/// Reals of `run` scratch gaussian_row_sums needs for `rows` query rows.
+inline constexpr index_t row_sums_scratch(index_t rows) {
+  return kRowSumChunk * whole_blocks(rows);
+}
+
+/// sums[k] = the Gaussian values exp(-||r_j - q_k||^2 * inv_two_sigma_sq)
+/// of query row k against every reference point of `ref`, added in
+/// ascending j. `rows` is a dimension-major block of query rows with the
+/// reference tile's dimension, at least 1 (as every tree's); rows.lane(d)
+/// must be readable up to whole_blocks(rows.count), and the lanes past the
+/// real count may hold anything: their sums are computed and to be ignored.
+/// `run` holds row_sums_scratch(rows.count) reals of scratch and `sums`
+/// whole_blocks(rows.count) outputs.
+///
+/// Per chunk of kRowSumChunk reference points, point j's distances to every
+/// row go to run[j * rows.count + k], each bitwise the lane sq_dists sums
+/// (diff = r_j - q_k, dimensions ascending); the whole-block lanes past the
+/// last row spill into the next point's slots, which that point then
+/// overwrites. One gaussian_sq over whole_blocks(chunk * rows.count) lanes
+/// turns the run into kernel values, and sums[k] += run[j * rows.count + k]
+/// over ascending j adds them, vectorized over k. Row k's sum is bitwise
+/// gaussian_sq followed by an ordered ascending-j sum (gaussian_sq_sum):
+/// the same distances, the same det_exp lanes, the same additions from 0 in
+/// the same order, carried across chunks.
+inline void gaussian_row_sums(const Tile& rows, const Tile& ref,
+                              real_t inv_two_sigma_sq, real_t* run,
+                              real_t* sums) {
+  const index_t count = rows.count;
+  const index_t lanes = whole_blocks(count);
+#pragma omp simd
+  for (index_t k = 0; k < lanes; ++k) sums[k] = 0;
+  if (count == 0) return;
+  for (index_t b = 0; b < ref.count; b += kRowSumChunk) {
+    const index_t w = std::min(kRowSumChunk, ref.count - b);
+    for (index_t j = 0; j < w; ++j) {
+      real_t* out = run + j * count;
+      // The first dimension stores its square: bitwise 0 + diff * diff, as
+      // a square is never -0, and no zeroing pass (gcc turns one into a
+      // memset call per point).
+      const real_t r0 = ref.lane(0)[b + j];
+      const real_t* q0 = rows.lane(0);
+#pragma omp simd
+      for (index_t k = 0; k < lanes; ++k) {
+        const real_t diff = r0 - q0[k];
+        out[k] = diff * diff;
+      }
+      for (index_t d = 1; d < ref.dim; ++d) {
+        const real_t r = ref.lane(d)[b + j];
+        const real_t* q = rows.lane(d);
+#pragma omp simd
+        for (index_t k = 0; k < lanes; ++k) {
+          const real_t diff = r - q[k];
+          out[k] += diff * diff;
+        }
+      }
+    }
+    gaussian_sq(run, whole_blocks(w * count), inv_two_sigma_sq, run);
+    for (index_t j = 0; j < w; ++j) {
+      const real_t* vals = run + j * count;
+#pragma omp simd
+      for (index_t k = 0; k < lanes; ++k) sums[k] += vals[k];
+    }
+  }
 }
 
 /// Squared Mahalanobis distances via Cholesky forward substitution, solved

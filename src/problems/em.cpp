@@ -185,9 +185,10 @@ class TreeEStep {
   /// a box with half-diagonal rho it stays within +-sqrt(eig_max)*rho of its
   /// value at the box center. That radius shrinks with the box, which is what
   /// lets deep nodes pass the tau test (a plain eig_min*dmin / eig_max*dmax
-  /// sandwich never converges when the covariance is anisotropic).
+  /// sandwich never converges when the covariance is anisotropic). Only
+  /// tau > 0 approximates: tau = 0 and a NaN tau are exact.
   bool node_within_tau(const KdNode& node, Buffers& buf) {
-    if (tau_ <= 0) return false;
+    if (!(tau_ > 0)) return false;
     node.box.center_point(buf.x.data());
     const real_t half_diag = std::sqrt(node.box.sq_diagonal()) / 2;
     for (index_t k = 0; k < K_; ++k) {

@@ -26,23 +26,30 @@ class KdeRules {
         densities_(densities),
         batch_(options.batch && !rtree.mirror().empty()),
         workspaces_(num_threads()) {
-    const index_t max_rleaf = rtree.stats().max_leaf_count;
     const index_t max_qleaf = qtree.stats().max_leaf_count;
     const index_t dim = qtree.data().dim();
+    const index_t lanes = batch::whole_blocks(max_qleaf);
     for (Workspace& ws : workspaces_) {
       ws.qpt.resize(dim);
       ws.center.resize(dim);
-      ws.dists.resize(batch::whole_blocks(max_rleaf));
-      ws.rows.resize(3 * batch::whole_blocks(max_qleaf));
+      if (batch_) {
+        ws.row_values.resize(3 * lanes);
+        ws.rows.resize(dim * lanes);
+        ws.run.resize(batch::row_sums_scratch(max_qleaf));
+        ws.sums.resize(lanes);
+      } else {
+        ws.dists.resize(rtree.stats().max_leaf_count);
+      }
     }
   }
 
   /// Approximation condition (Sec. II-C): K(dmin) - K(dmax) <= tau means all
   /// pairs between the nodes contribute nearly the same kernel value, so the
   /// pair is replaced by the center contribution scaled by node density.
-  /// tau = 0 means exact: a zero-spread pair is not approximated either.
+  /// Only tau > 0 approximates, as in the rule core: tau = 0 is exact (a
+  /// zero-spread pair is not approximated either), and so is a NaN tau.
   bool prune_or_approx(index_t q, index_t r) {
-    if (tau_ <= 0) return false;
+    if (!(tau_ > 0)) return false;
     const KdNode& qnode = qtree_.node(q);
     const KdNode& rnode = rtree_.node(r);
     const real_t dmin_sq = qnode.box.min_sq_dist(rnode.box);
@@ -74,97 +81,123 @@ class KdeRules {
   /// against the reference box give K(lo) - K(hi) <= tau takes the centre
   /// value K(|x - c_R|^2) * |R| and skips its tile (every pair's kernel value
   /// and the centre's lie in [K(hi), K(lo)], so the per-pair error is at most
-  /// tau, as for the node rule). The other rows run the exact tile.
+  /// tau, as for the node rule). The other rows run the exact tile. Batched
+  /// and scalar leaves make the same decisions and the same sums, bit for
+  /// bit.
   void base_case(index_t q, index_t r) {
     const KdNode& qnode = qtree_.node(q);
     const KdNode& rnode = rtree_.node(r);
     Workspace& ws = workspaces_[omp_get_thread_num()];
-    const index_t qcount = qnode.count();
-    const index_t rcount = rnode.count();
-    const index_t lanes = batch::whole_blocks(qcount);
-    const real_t* k_near = ws.rows.data();
-    const real_t* k_far = k_near + lanes;
-    const real_t* k_centre = k_far + lanes;
-    const bool row_rule = tau_ > 0;
-    if (row_rule) row_kernel_values(qnode, rnode, ws);
-    const real_t weight = static_cast<real_t>(rcount);
-    index_t approximated = 0;
-    for (index_t i = 0; i < qcount; ++i) {
-      const index_t qi = qnode.begin + i;
-      if (row_rule && k_near[i] - k_far[i] <= tau_) {
-        densities_[qi] += k_centre[i] * weight;
-        ++approximated;
-        continue;
-      }
-      qtree_.data().copy_point(qi, ws.qpt.data());
-      real_t total = 0;
-      if (batch_) {
-        // Distances evaluate lane-parallel off the SoA mirror, in whole lane
-        // blocks; the exp-sum then adds the real count in the same
-        // ascending-j order as the scalar path, so the result is
-        // bitwise-identical.
-        batch::Tile rtile = rtree_.mirror().tile(rnode.begin, rcount);
-        rtile.count = batch::whole_block_count(rtile);
-        batch::sq_dists(rtile, ws.qpt.data(), ws.dists.data());
-        batch::count_batch_tile(rcount);
-        total += batch::gaussian_sq_sum(ws.dists.data(), rcount,
-                                        kernel_.inv_two_sigma_sq());
-      } else {
-        sq_dists_to_range(rtree_.data(), rnode.begin, rnode.end, ws.qpt.data(),
-                          ws.dists.data());
-        batch::count_scalar_tail(rcount);
-        for (index_t j = 0; j < rcount; ++j) total += kernel_.eval_sq(ws.dists[j]);
-      }
-      densities_[qi] += total;
-    }
+    rnode.box.center_point(ws.center.data());
+    const index_t approximated = batch_ ? batched_rows(qnode, rnode, ws)
+                                        : scalar_rows(qnode, rnode, ws);
     if (approximated > 0)
       PORTAL_OBS_COUNT("rules/row_approximations",
                        static_cast<std::uint64_t>(approximated));
   }
 
  private:
-  /// Per-thread scratch. `rows` holds the row rule's kernel values for a
-  /// query leaf, three runs of whole_blocks(count) reals: K at each row's
-  /// point-to-box lower bound, at its upper bound, and at its distance to
-  /// the reference box centre. `dists` covers the largest reference leaf in
-  /// whole lane blocks.
+  /// Per-thread scratch. Batched leaves: `row_values` holds the row rule's
+  /// kernel values, three runs of whole_blocks(max query leaf) reals: K at
+  /// each row's point-to-box lower bound, at its upper bound and at its
+  /// distance to the reference box centre; `rows` the tiled rows as a
+  /// dimension-major block, `run` gaussian_row_sums' pair run and `sums` its
+  /// row sums. Scalar leaves: `dists` covers the largest reference leaf.
   struct Workspace {
     std::vector<real_t> qpt;
     std::vector<real_t> center;
-    std::vector<real_t> dists;
+    std::vector<real_t> row_values;
     std::vector<real_t> rows;
+    std::vector<real_t> run;
+    std::vector<real_t> sums;
+    std::vector<real_t> dists;
   };
 
-  /// Fills ws.rows for the query leaf against the reference box. Batched:
-  /// one bounds pass and one centre-distance pass over the query tree's
-  /// mirror, then one Gaussian pass over all three runs. Scalar: the same
-  /// values per row through BBox's point bounds and eval_sq, which each
-  /// lane equals bitwise, so both paths make the same decisions.
-  void row_kernel_values(const KdNode& qnode, const KdNode& rnode,
-                         Workspace& ws) {
+  /// The leaf on the mirrors: one bounds pass and one centre-distance pass
+  /// over the query leaf and one Gaussian pass over the three runs decide
+  /// the rows and give the approximated ones their centre values; the tiled
+  /// rows (ascending) are packed into a query block for one
+  /// gaussian_row_sums against the reference leaf, one det_exp per real
+  /// pair. Each value is bitwise the scalar leaf's: the bound lanes are
+  /// BBox's point bounds, the centre lanes sq_to_centre, and every row sum
+  /// adds the same kernel values in the same ascending-j order.
+  index_t batched_rows(const KdNode& qnode, const KdNode& rnode,
+                       Workspace& ws) {
     const index_t qcount = qnode.count();
+    const index_t rcount = rnode.count();
     const index_t lanes = batch::whole_blocks(qcount);
-    real_t* k_near = ws.rows.data();
+    const index_t dim = qtree_.data().dim();
+    const batch::Tile qtile = qtree_.mirror().tile(qnode.begin, qcount);
+    real_t* k_near = ws.row_values.data();
     real_t* k_far = k_near + lanes;
     real_t* k_centre = k_far + lanes;
-    rnode.box.center_point(ws.center.data());
-    if (batch_) {
-      const batch::Tile qtile = qtree_.mirror().tile(qnode.begin, qcount);
+    const bool row_rule = tau_ > 0;
+    if (row_rule) {
       batch::box_sq_bounds(qtile, rnode.box.lo_data(), rnode.box.hi_data(),
                            k_near, k_far);
-      batch::Tile centre_tile = qtile;
-      centre_tile.count = batch::whole_block_count(qtile);
-      batch::sq_dists(centre_tile, ws.center.data(), k_centre);
+      batch::sq_dists(qtile, ws.center.data(), k_centre);
       batch::gaussian_sq(k_near, 3 * lanes, kernel_.inv_two_sigma_sq(), k_near);
-      return;
     }
+    const auto takes_centre = [&](index_t i) {
+      return row_rule && k_near[i] - k_far[i] <= tau_;
+    };
+
+    batch::Tile tiled{ws.rows.data(), lanes, 0, 0, dim};
     for (index_t i = 0; i < qcount; ++i) {
-      qtree_.data().copy_point(qnode.begin + i, ws.qpt.data());
-      k_near[i] = kernel_.eval_sq(rnode.box.min_sq_dist_point(ws.qpt.data()));
-      k_far[i] = kernel_.eval_sq(rnode.box.max_sq_dist_point(ws.qpt.data()));
-      k_centre[i] =
-          kernel_.eval_sq(sq_to_centre(ws.qpt.data(), ws.center.data()));
+      if (takes_centre(i)) continue;
+      for (index_t d = 0; d < dim; ++d)
+        ws.rows[d * lanes + tiled.count] = qtile.lane(d)[i];
+      ++tiled.count;
     }
+    // The block's padding lanes copy its last row. Their sums are ignored,
+    // but a lane left holding a far row of an earlier leaf would underflow
+    // its det_exp to subnormals, which run slow (EXPERIMENTS.md).
+    const index_t padded = batch::whole_blocks(tiled.count);
+    for (index_t d = 0; d < dim; ++d) {
+      real_t* lane = ws.rows.data() + d * lanes;
+      for (index_t k = tiled.count; k < padded; ++k) lane[k] = lane[tiled.count - 1];
+    }
+    if (tiled.count > 0) {
+      batch::gaussian_row_sums(tiled, rtree_.mirror().tile(rnode.begin, rcount),
+                               kernel_.inv_two_sigma_sq(), ws.run.data(),
+                               ws.sums.data());
+      batch::count_batch_tile(tiled.count * rcount);
+    }
+
+    const real_t weight = static_cast<real_t>(rcount);
+    index_t k = 0;
+    for (index_t i = 0; i < qcount; ++i)
+      densities_[qnode.begin + i] +=
+          takes_centre(i) ? k_centre[i] * weight : ws.sums[k++];
+    return qcount - tiled.count;
+  }
+
+  /// The same rows one at a time through BBox's point bounds and eval_sq,
+  /// with each tiled row's pairs summed in ascending j.
+  index_t scalar_rows(const KdNode& qnode, const KdNode& rnode, Workspace& ws) {
+    const index_t rcount = rnode.count();
+    const real_t weight = static_cast<real_t>(rcount);
+    index_t approximated = 0;
+    for (index_t qi = qnode.begin; qi < qnode.end; ++qi) {
+      qtree_.data().copy_point(qi, ws.qpt.data());
+      if (tau_ > 0 &&
+          kernel_.eval_sq(rnode.box.min_sq_dist_point(ws.qpt.data())) -
+                  kernel_.eval_sq(rnode.box.max_sq_dist_point(ws.qpt.data())) <=
+              tau_) {
+        densities_[qi] +=
+            kernel_.eval_sq(sq_to_centre(ws.qpt.data(), ws.center.data())) *
+            weight;
+        ++approximated;
+        continue;
+      }
+      sq_dists_to_range(rtree_.data(), rnode.begin, rnode.end, ws.qpt.data(),
+                        ws.dists.data());
+      batch::count_scalar_tail(rcount);
+      real_t total = 0;
+      for (index_t j = 0; j < rcount; ++j) total += kernel_.eval_sq(ws.dists[j]);
+      densities_[qi] += total;
+    }
+    return approximated;
   }
 
   /// ||p - c||^2 summed in ascending dimension order (the order sq_dists'

@@ -343,6 +343,74 @@ bool same_bits(real_t a, real_t b) {
   return ia == ib;
 }
 
+// batch::gaussian_row_sums, the expert KDE's base-case kernel: every row's
+// sum must be bitwise sq_dists + gaussian_sq of that row against the
+// reference tile, then an ordered ascending-j sum. Row counts 0-17 and 31-33
+// cross the lane blocks, reference counts 1-130 cross the 64-point chunks
+// (the sums carry across them), and the reference tile starts inside its
+// slice. The query block's padding lanes, the run and the sums past the real
+// rows are poisoned (NaN, +-Inf, 1e308); none of it may reach a real row. A
+// NaN coordinate of one query row must reach that row's sum only.
+TEST(Gaussian, RowSumsAreBitwiseEqualToOrderedRows) {
+  const real_t poison[] = {std::numeric_limits<real_t>::quiet_NaN(),
+                           std::numeric_limits<real_t>::infinity(),
+                           -std::numeric_limits<real_t>::infinity(), 1e308};
+  const real_t c = 0.61;
+  Rng rng(2028);
+  std::vector<index_t> row_counts;
+  for (index_t k = 0; k <= 17; ++k) row_counts.push_back(k);
+  for (const index_t k : {31, 32, 33}) row_counts.push_back(k);
+  for (const index_t dim : {1, 2, 3, 5, 8}) {
+    for (const index_t ref_count : {1, 7, 8, 9, 19, 20, 64, 65, 130}) {
+      // The reference tile: points 3 .. 3 + ref_count of a slice of stride
+      // ref_count + 5.
+      const index_t stride = ref_count + 5;
+      std::vector<real_t> ref_lanes(static_cast<std::size_t>(dim * stride));
+      for (real_t& v : ref_lanes) v = rng.uniform(-1.5, 1.5);
+      const batch::Tile ref{ref_lanes.data(), stride, 3, ref_count, dim};
+      for (const index_t rows : row_counts) {
+        for (const bool nan_row : {false, true}) {
+          if (nan_row && rows == 0) continue;
+          SCOPED_TRACE("dim " + std::to_string(dim) + " ref " +
+                       std::to_string(ref_count) + " rows " +
+                       std::to_string(rows) + (nan_row ? " nan row" : ""));
+          const index_t lanes = batch::whole_blocks(rows);
+          std::vector<real_t> block(static_cast<std::size_t>(dim * lanes));
+          for (index_t d = 0; d < dim; ++d)
+            for (index_t k = 0; k < lanes; ++k)
+              block[d * lanes + k] =
+                  k < rows ? rng.uniform(-1.5, 1.5) : poison[(k + d) % 4];
+          const index_t bad_row = rows / 2;
+          if (nan_row)
+            block[(dim - 1) * lanes + bad_row] =
+                std::numeric_limits<real_t>::quiet_NaN();
+          std::vector<real_t> run(batch::row_sums_scratch(rows));
+          std::vector<real_t> sums(lanes);
+          for (std::size_t i = 0; i < run.size(); ++i) run[i] = poison[i % 4];
+          for (std::size_t i = 0; i < sums.size(); ++i) sums[i] = poison[i % 4];
+          const batch::Tile block_tile{block.data(), lanes, 0, rows, dim};
+          batch::gaussian_row_sums(block_tile, ref, c, run.data(), sums.data());
+
+          std::vector<real_t> qpt(dim), sq(ref_count), vals(ref_count);
+          for (index_t k = 0; k < rows; ++k) {
+            for (index_t d = 0; d < dim; ++d) qpt[d] = block[d * lanes + k];
+            batch::sq_dists(ref, qpt.data(), sq.data());
+            batch::gaussian_sq(sq.data(), ref_count, c, vals.data());
+            real_t ordered = 0;
+            for (index_t j = 0; j < ref_count; ++j) ordered += vals[j];
+            // A NaN's sign is no part of the contract: gcc may fold
+            // -sq * c into sq * -c in one lane loop and not in another.
+            EXPECT_TRUE(same_bits(sums[k], ordered) ||
+                        (std::isnan(sums[k]) && std::isnan(ordered)))
+                << "row " << k << ": " << sums[k] << " vs " << ordered;
+            EXPECT_EQ(std::isnan(sums[k]), nan_row && k == bad_row) << "row " << k;
+          }
+        }
+      }
+    }
+  }
+}
+
 // batch::box_sq_bounds, the KDE row rule's bound pass: every lane's lower
 // bound is bitwise BBox::min_sq_dist_point and its upper bound bitwise
 // BBox::max_sq_dist_point, NaN and infinite coordinates included. The tiles

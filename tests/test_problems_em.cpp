@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include <omp.h>
@@ -68,6 +71,28 @@ TEST(Em, TreeTauZeroMatchesBruteForce) {
   for (std::size_t i = 0; i < brute.means.size(); ++i)
     EXPECT_NEAR(tree.means[i], brute.means[i], 1e-5);
   EXPECT_EQ(tree.approx_nodes, 0u);
+}
+
+// Only tau > 0 approximates, as in the rule core: a NaN tau fails every
+// comparison, so a guard written `tau <= 0` would let the node test pass and
+// approximate every node. It must run the tau = 0 E-step, bit for bit.
+TEST(Em, NanTauIsExact) {
+  const Dataset data = make_gaussian_mixture(500, 3, 3, 93);
+  EmOptions exact = base_options();
+  exact.tau = 0;
+  EmOptions nan_tau = exact;
+  nan_tau.tau = std::numeric_limits<real_t>::quiet_NaN();
+  const EmResult a = em_expert(data, exact);
+  const EmResult b = em_expert(data, nan_tau);
+  EXPECT_EQ(b.approx_nodes, 0u);
+  EXPECT_EQ(b.exact_points, a.exact_points);
+  ASSERT_EQ(a.resp.size(), b.resp.size());
+  for (std::size_t i = 0; i < a.resp.size(); ++i)
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(a.resp[i]),
+              std::bit_cast<std::uint64_t>(b.resp[i]))
+        << "responsibility " << i;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.log_likelihood),
+            std::bit_cast<std::uint64_t>(b.log_likelihood));
 }
 
 TEST(Em, TauApproximatesAndStaysClose) {

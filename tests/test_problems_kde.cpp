@@ -6,6 +6,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <ostream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -95,6 +97,41 @@ TEST(Kde, TauZeroNeverApproximates) {
     EXPECT_NEAR(expert.densities[i], brute.densities[i],
                 1e-9 * std::max(real_t(1), brute.densities[i]))
         << "query " << i;
+}
+
+// A NaN tau is exact too: the node rule's guard is `!(tau > 0)`, as in the
+// rule core, so no node pair and no row is approximated and every density is
+// bitwise the tau = 0 one. (A guard written `tau <= 0` lets NaN through, and
+// then `K(dmin) - K(dmax) > tau` is false too, so the root pair itself was
+// approximated: every density came out as the reference count.)
+TEST(Kde, NanTauIsExact) {
+  const Dataset data = make_gaussian_mixture(500, 3, 3, 41);
+  KdeOptions options;
+  options.sigma = 0.5;
+  options.tau = 0;
+  options.normalize = false;
+  options.parallel = false;
+  const KdeResult exact = kde_expert(data, data, options);
+  options.tau = std::numeric_limits<real_t>::quiet_NaN();
+  for (const bool batch : {true, false}) {
+    SCOPED_TRACE(batch ? "batched" : "scalar");
+    options.batch = batch;
+    obs::set_enabled(true);
+    obs::reset();
+    const KdeResult nan_tau = kde_expert(data, data, options);
+    const obs::TraceReport report = obs::collect();
+    obs::set_enabled(false);
+    obs::reset();
+    EXPECT_EQ(nan_tau.stats.prunes, exact.stats.prunes);
+    EXPECT_EQ(nan_tau.stats.base_cases, exact.stats.base_cases);
+    EXPECT_EQ(report.counter("rules/approximations"), 0u);
+    EXPECT_EQ(report.counter("rules/row_approximations"), 0u);
+    for (index_t i = 0; i < data.size(); ++i)
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(nan_tau.densities[i]),
+                std::bit_cast<std::uint64_t>(exact.densities[i]))
+          << "query " << i << ": " << nan_tau.densities[i] << " vs "
+          << exact.densities[i];
+  }
 }
 
 TEST(Kde, LargerTauPrunesMore) {
@@ -192,8 +229,8 @@ TEST(Kde, ParallelMatchesSerial) {
 
 // ---------------------------------------------------------------------------
 // KdeLeafPass: the expert KDE base case (one bounds pass over the query leaf,
-// the row rule, whole-block Gaussian tiles) against a per-point copy of the
-// same rules. The oracle decides each row alone through BBox's point bounds
+// the row rule, one transposed pair run per leaf) against a per-point copy of
+// the same rules. The oracle decides each row alone through BBox's point bounds
 // and sums exact rows one pair at a time in ascending order, so every density
 // must match bit for bit; for each approximated row it also checks every pair
 // the centre value stands for against tau.
@@ -327,12 +364,19 @@ void expect_bitwise(const std::vector<real_t>& want, const std::vector<real_t>& 
   EXPECT_EQ(diffs, 0u);
 }
 
-class KdeLeafPassByDim : public testing::TestWithParam<index_t> {};
+/// Leaf sizes of the query and the reference tree.
+struct LeafSizes {
+  index_t query, reference;
+};
 
-TEST_P(KdeLeafPassByDim, ExpertMatchesPerRowOracle) {
-  const LeafPassCase c = leaf_pass_case(GetParam());
-  const KdTree qtree(c.query, 16);
-  const KdTree rtree(c.reference, 16);
+void PrintTo(const LeafSizes& leaf, std::ostream* os) {
+  *os << leaf.query << "/" << leaf.reference;
+}
+
+void expect_matches_per_row_oracle(index_t dim, LeafSizes leaf) {
+  const LeafPassCase c = leaf_pass_case(dim);
+  const KdTree qtree(c.query, leaf.query);
+  const KdTree rtree(c.reference, leaf.reference);
 
   std::vector<real_t> oracle(c.query.size(), 0);
   PerRowKdeRules rules(qtree, rtree, c.sigma, c.tau, oracle);
@@ -352,10 +396,10 @@ TEST_P(KdeLeafPassByDim, ExpertMatchesPerRowOracle) {
   }
 }
 
-TEST_P(KdeLeafPassByDim, BatchedEqualsScalarAtOneAndFourThreads) {
-  const LeafPassCase c = leaf_pass_case(GetParam());
-  const KdTree qtree(c.query, 16);
-  const KdTree rtree(c.reference, 16);
+void expect_batched_equals_scalar(index_t dim, LeafSizes leaf) {
+  const LeafPassCase c = leaf_pass_case(dim);
+  const KdTree qtree(c.query, leaf.query);
+  const KdTree rtree(c.reference, leaf.reference);
   const int saved = num_threads();
   for (const int threads : {1, 4}) {
     SCOPED_TRACE(std::to_string(threads) + " threads");
@@ -369,10 +413,52 @@ TEST_P(KdeLeafPassByDim, BatchedEqualsScalarAtOneAndFourThreads) {
   set_num_threads(saved);
 }
 
-INSTANTIATE_TEST_SUITE_P(Dims, KdeLeafPassByDim, testing::Values(1, 2, 3, 5, 8),
+const auto kKdeLeafPassDims = testing::Values(index_t(1), index_t(2), index_t(3),
+                                              index_t(5), index_t(8));
+
+/// The default shape, leaf 16 in both trees, per dimension.
+class KdeLeafPassByDim : public testing::TestWithParam<index_t> {};
+
+TEST_P(KdeLeafPassByDim, ExpertMatchesPerRowOracle) {
+  expect_matches_per_row_oracle(GetParam(), {16, 16});
+}
+
+TEST_P(KdeLeafPassByDim, BatchedEqualsScalarAtOneAndFourThreads) {
+  expect_batched_equals_scalar(GetParam(), {16, 16});
+}
+
+INSTANTIATE_TEST_SUITE_P(Dims, KdeLeafPassByDim, kKdeLeafPassDims,
                          [](const testing::TestParamInfo<index_t>& info) {
                            return "d" + std::to_string(info.param);
                          });
+
+/// The same walls at other leaf sizes. A one-point reference leaf (16/1)
+/// runs base cases against |R| = 1; 64/64 packs whole and partial lane
+/// blocks of up to 64 rows; 100/100 runs reference leaves that span two
+/// 64-point chunks of batch::gaussian_row_sums. (A one-point query leaf
+/// approximates no row: its point bounds are the node rule's box bounds, so
+/// the node rule has already decided the pair.)
+class KdeLeafPassByLeaf
+    : public testing::TestWithParam<std::tuple<index_t, LeafSizes>> {};
+
+TEST_P(KdeLeafPassByLeaf, ExpertMatchesPerRowOracle) {
+  expect_matches_per_row_oracle(std::get<0>(GetParam()), std::get<1>(GetParam()));
+}
+
+TEST_P(KdeLeafPassByLeaf, BatchedEqualsScalarAtOneAndFourThreads) {
+  expect_batched_equals_scalar(std::get<0>(GetParam()), std::get<1>(GetParam()));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Leaves, KdeLeafPassByLeaf,
+    testing::Combine(kKdeLeafPassDims,
+                     testing::Values(LeafSizes{16, 1}, LeafSizes{64, 64},
+                                     LeafSizes{100, 100})),
+    [](const testing::TestParamInfo<std::tuple<index_t, LeafSizes>>& info) {
+      const LeafSizes leaf = std::get<1>(info.param);
+      return "d" + std::to_string(std::get<0>(info.param)) + "_q" +
+             std::to_string(leaf.query) + "_r" + std::to_string(leaf.reference);
+    });
 
 TEST(Kde, InvalidArgumentsThrow) {
   const Dataset a = make_uniform(10, 2, 25);
