@@ -115,7 +115,7 @@ class GenericRules {
     for (Workspace& ws : workspaces_) {
       ws.lower.resize(batch::whole_blocks(qtree.stats().max_leaf_count));
       ws.qpt.resize(dim);
-      ws.leaf.resize(dim, rtree.stats().max_leaf_count);
+      ws.leaf.resize(dim, batch::whole_blocks(rtree.stats().max_leaf_count));
     }
     if (config.batch_base_cases && !rtree.mirror().empty())
       mirror_ = &rtree.mirror();
@@ -198,10 +198,21 @@ class GenericRules {
         }
       }
 
-      qtree_.data().copy_point(qi, ws.qpt.data());
-
-      const real_t* vals = leaf_values(ev_, rtree_.data(), mirror_, rnode.begin,
-                                       rnode.count(), ws.qpt.data(), ws.leaf);
+      const real_t* vals;
+      if (point_prunable && mirror_ != nullptr) {
+        // Identity envelope over squared L2: the leaf values are the
+        // squared distances, from the expert k-NN's row kernel.
+        const index_t row = qi - qnode.begin;
+        batch::sq_dists_rows(qtree_.mirror().tile(qnode.begin, qnode.count()),
+                             &row, 1, mirror_->tile(rnode.begin, rnode.count()),
+                             ws.leaf.dists.data());
+        batch::count_batch_tile(rnode.count());
+        vals = ws.leaf.dists.data();
+      } else {
+        qtree_.data().copy_point(qi, ws.qpt.data());
+        vals = leaf_values(ev_, rtree_.data(), mirror_, rnode.begin,
+                           rnode.count(), ws.qpt.data(), ws.leaf);
+      }
       state_.fold(qi, rnode.begin, rnode.count(), vals,
                   q_labels_.empty() ? -1 : q_labels_[qi], r_labels_.data());
 

@@ -15,6 +15,13 @@
 // k-NN graph's candidates): one row at a time, dimensions in the same
 // ascending order.
 //
+// sq_dists_rows, the k-NN and EMST base cases' distance tile, is the
+// register-blocked form of sq_dists (Elsen et al.'s N-body tile): up to
+// kDistRows query rows, read by index from the query tree's mirror, share
+// each loaded 8-lane reference block, and their accumulators stay in
+// registers while the dimensions ascend. Each lane is bitwise the sq_dists
+// lane of the same pair.
+//
 // box_sq_lower and box_sq_bounds run the other way round: a tile of *query*
 // points (a query leaf of the tree's mirror) against one reference box,
 // giving every row's point-to-box lower bound (and, for box_sq_bounds, upper
@@ -29,13 +36,13 @@
 // a transposed pair run that costs one det_exp per real pair while each
 // row's sum stays bitwise its ordered ascending-j sum.
 //
-// Whole-block kernels (box_sq_lower, box_sq_bounds, gaussian_sq_sum,
-// gaussian_row_sums) run their lane loops over whole kLaneBlock blocks, so
-// no lane falls to a scalar remainder. Lanes past the real count are
-// computed and ignored: their buffers must be readable (and, for outputs,
-// writable) up to whole_blocks(count). whole_block_count gives the lanes to
-// run for a mirror tile: whole blocks, or the exact count when the last
-// block would leave its slice.
+// Whole-block kernels (box_sq_lower, box_sq_bounds, sq_dists_rows,
+// gaussian_sq_sum, gaussian_row_sums) run their lane loops over whole
+// kLaneBlock blocks, so no lane falls to a scalar remainder. Lanes past the
+// real count are computed and ignored: their buffers must be readable (and,
+// for outputs, writable) up to whole_blocks(count). whole_block_count gives
+// the lanes to run for a mirror tile: whole blocks, or the exact count when
+// the last block would leave its slice.
 //
 // Lane utilization is observable through the obs counters emitted by
 // count_batch_tile / count_scalar_tail ("base/..."; see OBSERVABILITY.md).
@@ -67,7 +74,8 @@ struct Tile {
 };
 
 /// Lanes per block of the whole-block kernels (box_sq_lower, box_sq_bounds,
-/// gaussian_sq_sum, gaussian_row_sums): one 64-byte vector of reals.
+/// sq_dists_rows, gaussian_sq_sum, gaussian_row_sums): one 64-byte vector of
+/// reals.
 inline constexpr index_t kLaneBlock = 8;
 
 /// `count` rounded up to whole kLaneBlock blocks: how many outputs a
@@ -108,6 +116,91 @@ inline void row_sq_dists(const real_t* rows, index_t dim, const index_t* ids,
   }
 }
 
+/// Query rows per call of sq_dists_rows: the row block whose accumulators
+/// share each loaded reference block (Elsen et al.'s register tile).
+inline constexpr index_t kDistRows = 4;
+
+namespace detail {
+
+/// Rows rows[0..N) of `queries` against the W reference lanes of `ref`
+/// starting at lane j0, written to out[k * ostride + j0 + l]. The N x W
+/// accumulators stay in registers while the dimensions ascend; the first
+/// dimension stores its square (bitwise 0 + diff * diff: a square is never
+/// -0, and a NaN passes through the add unchanged).
+template <index_t N, index_t W>
+inline void sq_dists_block(const Tile& queries, const index_t* rows,
+                           const Tile& ref, index_t j0, real_t* out,
+                           index_t ostride) {
+  real_t acc[N][W];
+  {
+    const real_t* r = ref.lane(0) + j0;
+    const real_t* q = queries.lane(0);
+    for (index_t k = 0; k < N; ++k) {
+      const real_t qk = q[rows[k]];
+#pragma omp simd
+      for (index_t l = 0; l < W; ++l) {
+        const real_t diff = r[l] - qk;
+        acc[k][l] = diff * diff;
+      }
+    }
+  }
+  for (index_t d = 1; d < ref.dim; ++d) {
+    const real_t* r = ref.lane(d) + j0;
+    const real_t* q = queries.lane(d);
+    for (index_t k = 0; k < N; ++k) {
+      const real_t qk = q[rows[k]];
+#pragma omp simd
+      for (index_t l = 0; l < W; ++l) {
+        const real_t diff = r[l] - qk;
+        acc[k][l] += diff * diff;
+      }
+    }
+  }
+  for (index_t k = 0; k < N; ++k)
+    for (index_t l = 0; l < W; ++l) out[k * ostride + j0 + l] = acc[k][l];
+}
+
+template <index_t N>
+inline void sq_dists_rows(const Tile& queries, const index_t* rows,
+                          const Tile& ref, real_t* out) {
+  const index_t ostride = whole_blocks(ref.count);
+  const index_t lanes = whole_block_count(ref);
+  const index_t full = lanes / kLaneBlock * kLaneBlock;
+  for (index_t j0 = 0; j0 < full; j0 += kLaneBlock)
+    sq_dists_block<N, kLaneBlock>(queries, rows, ref, j0, out, ostride);
+  // The exact-count fallback of a slice's last leaf: its last block would
+  // leave the slice, so its lanes run one at a time.
+  for (index_t j0 = full; j0 < lanes; ++j0)
+    sq_dists_block<N, 1>(queries, rows, ref, j0, out, ostride);
+}
+
+} // namespace detail
+
+/// Squared distances from nrows query rows (1..kDistRows) to every point of
+/// the reference tile `ref`: out[k * whole_blocks(ref.count) + j] =
+/// ||r_j - q_k||^2, where q_k is lane rows[k] of `queries` (a tile of the
+/// query tree's mirror, read in place: no copy of the row). `out` holds
+/// nrows * whole_blocks(ref.count) reals.
+///
+/// The reference lanes run whole_block_count(ref): whole kLaneBlock blocks,
+/// whose lanes past ref.count are computed and to be ignored, or the exact
+/// count for a slice's last leaf. Per block the rows' accumulators stay in
+/// registers while the dimensions ascend, so each reference block is loaded
+/// once per dimension for all rows and `out` is written once. Every lane is
+/// bitwise the sq_dists lane of the same pair: diff = r - q, 0 + diff^2,
+/// then += diff^2 over ascending dimensions.
+inline void sq_dists_rows(const Tile& queries, const index_t* rows,
+                          index_t nrows, const Tile& ref, real_t* out) {
+  static_assert(kDistRows == 4);
+  switch (nrows) {
+    case 1: detail::sq_dists_rows<1>(queries, rows, ref, out); return;
+    case 2: detail::sq_dists_rows<2>(queries, rows, ref, out); return;
+    case 3: detail::sq_dists_rows<3>(queries, rows, ref, out); return;
+    case 4: detail::sq_dists_rows<4>(queries, rows, ref, out); return;
+  }
+  throw std::invalid_argument("batch::sq_dists_rows: 1..kDistRows rows");
+}
+
 inline void count_batch_tile(index_t pairs) {
   PORTAL_OBS_COUNT("base/batch_tiles", 1);
   PORTAL_OBS_COUNT("base/batch_pairs", static_cast<std::uint64_t>(pairs));
@@ -118,8 +211,9 @@ inline void count_scalar_tail(index_t pairs) {
 }
 
 /// out[j] = ||q - r_j||^2. The KDE pair tiles no longer call it (they run
-/// gaussian_row_sums); kept unchanged for the other base cases, the KDE row
-/// rule's centre distances, perfbench's tile timing and the tests.
+/// gaussian_row_sums), nor do the L2 k-NN and EMST tiles (sq_dists_rows);
+/// kept unchanged for the other base cases, the KDE row rule's centre
+/// distances, perfbench's tile timing and the tests.
 inline void sq_dists(const Tile& t, const real_t* qpt, real_t* out) {
   const index_t count = t.count;
 #pragma omp simd
@@ -224,11 +318,15 @@ inline void linf_dists(const Tile& t, const real_t* qpt, real_t* out) {
 /// out[j] = exp(-sq[j] * inv_two_sigma_sq) -- the Gaussian KDE kernel on a
 /// lane of squared distances (kernels/gaussian.h, batched). det_exp is
 /// branch-free, so the lane loop vectorizes; each lane is bitwise the scalar
-/// GaussianKernel::eval_sq.
+/// GaussianKernel::eval_sq. The negation is hoisted onto the constant:
+/// sq * -c is bitwise -sq * c for every non-NaN input, and written this way
+/// a NaN lane's sign bit no longer depends on whether the compiler folded
+/// the negation in the vector body and the scalar remainder alike.
 inline void gaussian_sq(const real_t* sq, index_t count, real_t inv_two_sigma_sq,
                         real_t* out) {
+  const real_t neg = -inv_two_sigma_sq;
 #pragma omp simd
-  for (index_t j = 0; j < count; ++j) out[j] = det_exp(-sq[j] * inv_two_sigma_sq);
+  for (index_t j = 0; j < count; ++j) out[j] = det_exp(sq[j] * neg);
 }
 
 /// Gaussian values summed over a lane of squared distances. The exp runs

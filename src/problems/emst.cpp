@@ -60,8 +60,8 @@ class EmstRules {
     const index_t max_leaf = tree.stats().max_leaf_count;
     for (Workspace& ws : workspaces_) {
       ws.lower.resize(batch::whole_blocks(max_leaf));
-      ws.qpt.resize(tree.data().dim());
-      ws.dists.resize(max_leaf);
+      ws.rows.resize(max_leaf);
+      ws.dists.resize(batch::kDistRows * batch::whole_blocks(max_leaf));
     }
   }
 
@@ -88,32 +88,41 @@ class EmstRules {
 
     // Point-level prune: the whole reference leaf may be farther than a
     // point's current candidate. One bound pass covers the query leaf.
-    batch::box_sq_lower(tree_.mirror().tile(qnode.begin, qnode.count()),
-                        rnode.box.lo_data(), rnode.box.hi_data(),
+    const batch::Tile rows = tree_.mirror().tile(qnode.begin, qnode.count());
+    batch::box_sq_lower(rows, rnode.box.lo_data(), rnode.box.hi_data(),
                         ws.lower.data());
+    index_t selected = 0;
+    for (index_t i = 0; i < qnode.count(); ++i)
+      if (ws.lower[i] <= best_dist_[qnode.begin + i]) ws.rows[selected++] = i;
 
-    real_t leaf_bound = 0;
-    for (index_t qi = qnode.begin; qi < qnode.end; ++qi) {
-      const index_t qc = comp_[qi];
-      real_t best = best_dist_[qi];
-      if (ws.lower[qi - qnode.begin] <= best) {
-        tree_.data().copy_point(qi, ws.qpt.data());
-        sq_dists_to_range(tree_.data(), rnode.begin, rnode.end, ws.qpt.data(),
-                          ws.dists.data());
+    // kDistRows rows at a time share each loaded reference block.
+    const batch::Tile ref = tree_.mirror().tile(rnode.begin, rcount);
+    const index_t run = batch::whole_blocks(rcount);
+    for (index_t g = 0; g < selected; g += batch::kDistRows) {
+      const index_t n = std::min(batch::kDistRows, selected - g);
+      batch::sq_dists_rows(rows, ws.rows.data() + g, n, ref, ws.dists.data());
+      for (index_t s = 0; s < n; ++s) {
+        const index_t qi = qnode.begin + ws.rows[g + s];
+        const index_t qc = comp_[qi];
+        const real_t* dists = ws.dists.data() + s * run;
+        real_t best = best_dist_[qi];
         index_t best_j = best_to_[qi];
         for (index_t j = 0; j < rcount; ++j) {
           const index_t rj = rnode.begin + j;
           if (comp_[rj] == qc) continue; // same component: not an MST edge
-          if (ws.dists[j] < best) {
-            best = ws.dists[j];
+          if (dists[j] < best) {
+            best = dists[j];
             best_j = rj;
           }
         }
         best_dist_[qi] = best;
         best_to_[qi] = best_j;
       }
-      leaf_bound = std::max(leaf_bound, best);
     }
+
+    real_t leaf_bound = 0;
+    for (index_t qi = qnode.begin; qi < qnode.end; ++qi)
+      leaf_bound = std::max(leaf_bound, best_dist_[qi]);
 
     node_bounds_[q].store_min(leaf_bound);
     index_t parent = qnode.parent;
@@ -130,8 +139,8 @@ class EmstRules {
  private:
   struct Workspace {
     std::vector<real_t> lower; // the query leaf's point-to-box bounds
-    std::vector<real_t> qpt;
-    std::vector<real_t> dists;
+    std::vector<index_t> rows; // the leaf rows the bound lets through
+    std::vector<real_t> dists; // kDistRows distance runs, whole blocks
   };
 
   const KdTree& tree_;

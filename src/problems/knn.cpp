@@ -15,13 +15,15 @@ namespace portal {
 namespace {
 
 /// Per-thread scratch: the query leaf's point-to-box lower bounds (whole
-/// lane blocks, see batch::box_sq_lower), a contiguous copy of the query
-/// row being evaluated (made only for rows whose bound lets them through),
-/// a distance buffer covering the largest reference leaf, and the thread's
-/// evaluated-pair count (cache-line aligned: the count is written per base
-/// case, next to other threads' slots).
+/// lane blocks, see batch::box_sq_lower), the leaf rows whose bound lets
+/// them through, a contiguous copy of one query row (the scalar leaves and
+/// the metrics without a row-block kernel), distances for kDistRows rows
+/// against the largest reference leaf in whole blocks (batch::sq_dists_rows),
+/// and the thread's evaluated-pair count (cache-line aligned: the count is
+/// written per base case, next to other threads' slots).
 struct alignas(64) KnnWorkspace {
   std::vector<real_t> lower;
+  std::vector<index_t> rows;
   std::vector<real_t> qpt;
   std::vector<real_t> dists;
   std::uint64_t pair_evals = 0;
@@ -33,8 +35,9 @@ struct alignas(64) KnnWorkspace {
 ///   bottom-up as base cases improve leaf candidates.
 /// The base case works on the whole query leaf: one bound pass over the
 /// query tree's mirror gives every row's point-to-box lower bound, rows the
-/// bound rules out skip the reference leaf, and the rest run one distance
-/// tile whose candidates pass KnnList::insert_bulk's worst-distance filter.
+/// bound rules out skip the reference leaf, and the rest run distance tiles
+/// (batch::sq_dists_rows, kDistRows rows at a time for the L2 family) whose
+/// candidates pass KnnList::insert_bulk's worst-distance filter.
 class KnnRules {
  public:
   KnnRules(const KdTree& qtree, const KdTree& rtree, const KnnOptions& options,
@@ -49,8 +52,10 @@ class KnnRules {
         workspaces_(num_threads()) {
     for (KnnWorkspace& ws : workspaces_) {
       ws.lower.resize(batch::whole_blocks(qtree.stats().max_leaf_count));
+      ws.rows.resize(qtree.stats().max_leaf_count);
       ws.qpt.resize(qtree.data().dim());
-      ws.dists.resize(rtree.stats().max_leaf_count);
+      ws.dists.resize(batch::kDistRows *
+                      batch::whole_blocks(rtree.stats().max_leaf_count));
     }
   }
 
@@ -75,7 +80,6 @@ class KnnRules {
     const KdNode& qnode = qtree_.node(q);
     const KdNode& rnode = rtree_.node(r);
     KnnWorkspace& ws = workspaces_[omp_get_thread_num()];
-    const index_t k = options_.k;
     const index_t qcount = qnode.count();
     const index_t rcount = rnode.count();
 
@@ -88,14 +92,34 @@ class KnnRules {
     else
       std::fill_n(ws.lower.data(), qcount, real_t{0});
 
-    real_t leaf_bound = 0;
-    for (index_t i = 0; i < qcount; ++i) {
-      const index_t qi = qnode.begin + i;
-      KnnList list(dists_.data() + qi * k, ids_.data() + qi * k, k);
-      if (ws.lower[i] <= list.worst()) {
+    // The rows the bound lets through; each row's own list decides, and only
+    // its own inserts change it, so selecting first changes nothing.
+    index_t selected = 0;
+    for (index_t i = 0; i < qcount; ++i)
+      if (ws.lower[i] <= row_list(qnode.begin + i).worst()) ws.rows[selected++] = i;
+    ws.pair_evals += static_cast<std::uint64_t>(selected * rcount);
+
+    if (batch_ && l2_bound()) {
+      // kDistRows rows at a time share each loaded reference block; each
+      // row's candidates are its distance run's real rcount lanes.
+      const batch::Tile rows = qtree_.mirror().tile(qnode.begin, qcount);
+      const batch::Tile ref = rtree_.mirror().tile(rnode.begin, rcount);
+      const index_t run = batch::whole_blocks(rcount);
+      for (index_t g = 0; g < selected; g += batch::kDistRows) {
+        const index_t n = std::min(batch::kDistRows, selected - g);
+        batch::sq_dists_rows(rows, ws.rows.data() + g, n, ref, ws.dists.data());
+        for (index_t s = 0; s < n; ++s) {
+          batch::count_batch_tile(rcount);
+          row_list(qnode.begin + ws.rows[g + s])
+              .insert_bulk(ws.dists.data() + s * run, rcount, rnode.begin);
+        }
+      }
+    } else {
+      for (index_t s = 0; s < selected; ++s) {
+        const index_t qi = qnode.begin + ws.rows[s];
         qtree_.data().copy_point(qi, ws.qpt.data());
-        // Batched flavor streams the SoA mirror tile (same dimension-outer
-        // accumulation order as dists_to_range, so results are identical).
+        // Same dimension-outer accumulation order as dists_to_range, so
+        // both flavors give identical results.
         if (batch_) {
           batch::dists(options_.metric, rtree_.mirror().tile(rnode.begin, rcount),
                        ws.qpt.data(), nullptr, nullptr, ws.dists.data());
@@ -105,11 +129,13 @@ class KnnRules {
                          ws.qpt.data(), ws.dists.data());
           batch::count_scalar_tail(rcount);
         }
-        ws.pair_evals += static_cast<std::uint64_t>(rcount);
-        list.insert_bulk(ws.dists.data(), rcount, rnode.begin);
+        row_list(qi).insert_bulk(ws.dists.data(), rcount, rnode.begin);
       }
-      leaf_bound = std::max(leaf_bound, list.worst());
     }
+
+    real_t leaf_bound = 0;
+    for (index_t qi = qnode.begin; qi < qnode.end; ++qi)
+      leaf_bound = std::max(leaf_bound, row_list(qi).worst());
 
     // Tighten this leaf's bound, then propagate the (monotone decreasing)
     // max-of-children bound toward the root.
@@ -126,6 +152,12 @@ class KnnRules {
   }
 
  private:
+  /// Query row qi's k candidates.
+  KnnList row_list(index_t qi) {
+    const index_t k = options_.k;
+    return KnnList(dists_.data() + qi * k, ids_.data() + qi * k, k);
+  }
+
   /// Pruning happens in the same space dists_to_range reports: squared L2 for
   /// the Euclidean family, plain distance otherwise.
   MetricKind bound_metric() const {

@@ -398,10 +398,10 @@ TEST(Gaussian, RowSumsAreBitwiseEqualToOrderedRows) {
             batch::gaussian_sq(sq.data(), ref_count, c, vals.data());
             real_t ordered = 0;
             for (index_t j = 0; j < ref_count; ++j) ordered += vals[j];
-            // A NaN's sign is no part of the contract: gcc may fold
-            // -sq * c into sq * -c in one lane loop and not in another.
-            EXPECT_TRUE(same_bits(sums[k], ordered) ||
-                        (std::isnan(sums[k]) && std::isnan(ordered)))
+            // Bitwise, NaN rows included: gaussian_sq multiplies by the
+            // hoisted -c in every lane loop, so a NaN's sign bit does not
+            // depend on the lane.
+            EXPECT_TRUE(same_bits(sums[k], ordered))
                 << "row " << k << ": " << sums[k] << " vs " << ordered;
             EXPECT_EQ(std::isnan(sums[k]), nan_row && k == bad_row) << "row " << k;
           }
@@ -462,6 +462,72 @@ TEST(BoxSqBounds, LanesAreBitwisePointBounds) {
         EXPECT_TRUE(std::isnan(upper[3 - begin]));
       }
     }
+  }
+}
+
+// batch::sq_dists_rows, the k-NN and EMST base cases' distance kernel: every
+// real lane of every row is bitwise the sq_dists lane of that row, NaN and
+// infinite coordinates included, for groups of 1..kDistRows rows read by
+// index from a query tile that starts inside its slice. The reference tiles
+// hold 1-40 points, either inside their slice (whole blocks, the lanes past
+// the count read the next points) or ending at the slice's stride (whole
+// blocks when the count is a multiple of kLaneBlock, else the exact count).
+// A sentinel past the rows' whole blocks, and past the real count of an
+// exact-count tile, shows nothing is written there.
+TEST(SqDistsRows, LanesAreBitwiseSqDists) {
+  constexpr index_t kRefStride = 48; // a multiple of kLaneBlock, as the mirror's
+  constexpr index_t kQueryStride = 24;
+  const real_t nan = std::numeric_limits<real_t>::quiet_NaN();
+  const real_t inf = std::numeric_limits<real_t>::infinity();
+  const real_t sentinel = -12345;
+  Rng rng(2029);
+  for (const index_t dim : {1, 2, 3, 5, 8, 17, 32}) {
+    SCOPED_TRACE("dim " + std::to_string(dim));
+    std::vector<real_t> ref_lanes(static_cast<std::size_t>(dim * kRefStride));
+    for (real_t& v : ref_lanes) v = rng.uniform(-3.0, 3.0);
+    ref_lanes[5] = nan;                                  // point 5, dimension 0
+    ref_lanes[(dim - 1) * kRefStride + 30] = inf;        // point 30, last dimension
+    ref_lanes[(dim - 1) * kRefStride + 44] = -inf;       // point 44, last dimension
+    ref_lanes[(dim / 2) * kRefStride + 12] = nan;        // point 12, middle dimension
+    std::vector<real_t> query_lanes(static_cast<std::size_t>(dim * kQueryStride));
+    for (real_t& v : query_lanes) v = rng.uniform(-3.0, 3.0);
+    // The query tile is points 2..21 of its slice; its rows 4, 9 and 13 carry
+    // a NaN, an infinity and a negative infinity.
+    const batch::Tile queries{query_lanes.data(), kQueryStride, 2, 20, dim};
+    query_lanes[(dim - 1) * kQueryStride + 2 + 4] = nan;
+    query_lanes[2 + 9] = inf;
+    query_lanes[(dim / 2) * kQueryStride + 2 + 13] = -inf;
+    const index_t row_sets[][batch::kDistRows] = {
+        {0, 4, 9, 13}, {19, 3, 13, 7}, {9, 4, 0, 11}, {17, 2, 19, 1}};
+
+    for (index_t count = 1; count <= 40; ++count)
+      for (const index_t begin : {index_t(3), kRefStride - count}) {
+        const batch::Tile ref{ref_lanes.data(), kRefStride, begin, count, dim};
+        const index_t run = batch::whole_blocks(count);
+        const index_t written = batch::whole_block_count(ref);
+        for (const auto& rows : row_sets)
+          for (index_t nrows = 1; nrows <= batch::kDistRows; ++nrows) {
+            SCOPED_TRACE("tile [" + std::to_string(begin) + ", +" +
+                         std::to_string(count) + ") rows " +
+                         std::to_string(nrows) + " from " +
+                         std::to_string(rows[0]));
+            std::vector<real_t> out(static_cast<std::size_t>(nrows * run + 1),
+                                    sentinel);
+            batch::sq_dists_rows(queries, rows, nrows, ref, out.data());
+            EXPECT_EQ(out[nrows * run], sentinel);
+            std::vector<real_t> qpt(dim), want(count);
+            for (index_t k = 0; k < nrows; ++k) {
+              for (index_t d = 0; d < dim; ++d) qpt[d] = queries.lane(d)[rows[k]];
+              batch::sq_dists(ref, qpt.data(), want.data());
+              for (index_t j = 0; j < count; ++j)
+                EXPECT_TRUE(same_bits(out[k * run + j], want[j]))
+                    << "row " << k << " lane " << j << ": " << out[k * run + j]
+                    << " vs " << want[j];
+              for (index_t j = written; j < run; ++j)
+                EXPECT_EQ(out[k * run + j], sentinel) << "row " << k << " lane " << j;
+            }
+          }
+      }
   }
 }
 

@@ -178,11 +178,13 @@ TEST(Knn, ParallelMatchesSerial) {
 }
 
 // ---------------------------------------------------------------------------
-// KnnLeafPass and KnnLeafPassByDim: the per-leaf base cases (one batch::box_sq_lower pass over the
-// query leaf, KnnList::insert_bulk's worst-distance filter) against a copy
-// of the per-point loop they replaced: one BBox::min_sq_dist_point call and
-// one KnnList::insert per candidate. Values must match bit for bit and ids
-// exactly, so any bound or filter that decides differently shows.
+// KnnLeafPass, KnnLeafPassByDim and KnnLeafPassByLeaf: the per-leaf base
+// cases (one batch::box_sq_lower pass over the query leaf, the selected rows'
+// batch::sq_dists_rows tiles, KnnList::insert_bulk's worst-distance filter)
+// against a copy of the per-point loop they replaced: one
+// BBox::min_sq_dist_point call, one distance tile and one KnnList::insert
+// per candidate. Values must match bit for bit and ids exactly, so any
+// bound, tile or filter that decides differently shows.
 
 enum class Shape { Gaussian, Duplicated, Grid };
 
@@ -351,20 +353,18 @@ void expect_bitwise_rows(const std::vector<real_t>& want_values,
   EXPECT_EQ(id_diffs, 0u);
 }
 
-constexpr index_t kLeafPassDims[] = {1, 2, 3, 4, 5, 8, 17};
+constexpr index_t kLeafPassDims[] = {1, 2, 3, 4, 5, 8, 17, 32};
 constexpr Shape kLeafPassShapes[] = {Shape::Gaussian, Shape::Duplicated,
                                      Shape::Grid};
 
-/// The per-point walls run once per dimension of kLeafPassDims, so a failing
-/// layout or lane tail is named by its case (`.../d17`).
-class KnnLeafPassByDim : public testing::TestWithParam<index_t> {};
-
-TEST_P(KnnLeafPassByDim, ExpertMatchesPerPointLoop) {
-  const index_t dim = GetParam();
+/// The expert k-NN against the per-point oracle over every shape, mono- and
+/// bichromatic, at 1 and 4 threads, for each leaf size of `leaves`.
+void expect_expert_matches_per_point(index_t dim,
+                                     const std::vector<index_t>& leaves) {
   for (const int threads : {1, 4}) {
     set_num_threads(threads);
     for (const Shape shape : kLeafPassShapes)
-      for (const index_t leaf : {index_t(1), index_t(64)})
+      for (const index_t leaf : leaves)
         for (const bool mono : {true, false}) {
           const std::uint64_t seed = 1000 + 10 * static_cast<std::uint64_t>(dim);
           const Dataset reference = make_shape(shape, 260, dim, seed);
@@ -456,15 +456,15 @@ TEST(KnnLeafPass, BulkInsertMatchesPerCandidateInserts) {
       }
 }
 
-TEST_P(KnnLeafPassByDim, ExecutorKargminMatchesPerPointLoop) {
-  // The VM engine's point-prunable reduction base case against the same
-  // oracle over the same trees (the executor builds them with the config's
-  // leaf size).
-  const index_t dim = GetParam();
+/// The VM engine's point-prunable reduction base case against the same
+/// oracle over the same trees (the executor builds them with the config's
+/// leaf size).
+void expect_executor_matches_per_point(index_t dim,
+                                       const std::vector<index_t>& leaves) {
   for (const int threads : {1, 4}) {
     set_num_threads(threads);
     for (const Shape shape : kLeafPassShapes)
-      for (const index_t leaf : {index_t(1), index_t(64)}) {
+      for (const index_t leaf : leaves) {
         const std::uint64_t seed = 2000 + 10 * static_cast<std::uint64_t>(dim);
         const Dataset rd = make_shape(shape, 230, dim, seed);
         const Dataset qd = make_shape(shape, 157, dim, seed + 1);
@@ -634,12 +634,13 @@ EmstResult per_point_emst(const Dataset& data, const EmstOptions& options) {
   return result;
 }
 
-TEST_P(KnnLeafPassByDim, EmstMatchesPerPointLoop) {
-  const index_t dim = GetParam();
+/// emst_expert against the per-point Boruvka oracle.
+void expect_emst_matches_per_point(index_t dim,
+                                   const std::vector<index_t>& leaves) {
   for (const int threads : {1, 4}) {
     set_num_threads(threads);
     for (const Shape shape : kLeafPassShapes)
-      for (const index_t leaf : {index_t(1), index_t(64)}) {
+      for (const index_t leaf : leaves) {
         SCOPED_TRACE(std::string(shape_name(shape)) + " dim " +
                      std::to_string(dim) + " leaf " + std::to_string(leaf) +
                      " threads " + std::to_string(threads));
@@ -673,10 +674,57 @@ TEST_P(KnnLeafPassByDim, EmstMatchesPerPointLoop) {
   set_num_threads(4);
 }
 
+/// The per-point walls run once per dimension of kLeafPassDims, at a
+/// one-point leaf and a 64-point one, so a failing layout or lane tail is
+/// named by its case (`.../d17`). d = 32 is the k-NN graph build's.
+class KnnLeafPassByDim : public testing::TestWithParam<index_t> {};
+
+TEST_P(KnnLeafPassByDim, ExpertMatchesPerPointLoop) {
+  expect_expert_matches_per_point(GetParam(), {1, 64});
+}
+
+TEST_P(KnnLeafPassByDim, ExecutorKargminMatchesPerPointLoop) {
+  expect_executor_matches_per_point(GetParam(), {1, 64});
+}
+
+TEST_P(KnnLeafPassByDim, EmstMatchesPerPointLoop) {
+  expect_emst_matches_per_point(GetParam(), {1, 64});
+}
+
 INSTANTIATE_TEST_SUITE_P(Dims, KnnLeafPassByDim, testing::ValuesIn(kLeafPassDims),
                          [](const testing::TestParamInfo<index_t>& info) {
                            return "d" + std::to_string(info.param);
                          });
+
+/// The same walls at leaf sizes around the lane block: 7, 8 and 9 points
+/// give reference tiles just under, at and just over one kLaneBlock block
+/// (and row groups of batch::sq_dists_rows that end part-way), 33 one lane
+/// past four blocks, 64 whole blocks and a 64-row query leaf.
+class KnnLeafPassByLeaf
+    : public testing::TestWithParam<std::tuple<index_t, index_t>> {};
+
+TEST_P(KnnLeafPassByLeaf, ExpertMatchesPerPointLoop) {
+  expect_expert_matches_per_point(std::get<0>(GetParam()), {std::get<1>(GetParam())});
+}
+
+TEST_P(KnnLeafPassByLeaf, ExecutorKargminMatchesPerPointLoop) {
+  expect_executor_matches_per_point(std::get<0>(GetParam()),
+                                    {std::get<1>(GetParam())});
+}
+
+TEST_P(KnnLeafPassByLeaf, EmstMatchesPerPointLoop) {
+  expect_emst_matches_per_point(std::get<0>(GetParam()), {std::get<1>(GetParam())});
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Leaves, KnnLeafPassByLeaf,
+    testing::Combine(testing::Values(index_t(1), index_t(8), index_t(32)),
+                     testing::Values(index_t(7), index_t(8), index_t(9),
+                                     index_t(33), index_t(64))),
+    [](const testing::TestParamInfo<std::tuple<index_t, index_t>>& info) {
+      return "d" + std::to_string(std::get<0>(info.param)) + "_leaf" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 } // namespace
 } // namespace portal
