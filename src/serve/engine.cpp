@@ -21,17 +21,16 @@ struct Ctx {
   real_t tau = 0;
   bool decides = false;               // decides_nodes: node bounds can matter
   Workspace* ws = nullptr;
-  // Live-view fields (null/0/false on snapshot-only queries, which keeps
-  // every live branch below off the snapshot path).
-  const DeltaTree* delta = nullptr;
-  std::uint64_t watermark = 0;
-  index_t delta_count = 0;  // visible delta slots are [0, delta_count)
-  bool filter_main = false; // this generation holds main tombstones
+  // The live view, null on snapshot-only queries (and views without a
+  // delta), which keeps every live branch below off the snapshot path.
+  const LiveView* live = nullptr;
+  bool filter_main = false; // the view sees at least one main tombstone
 };
 
 /// Is permuted main index j visible in this query's view?
 inline bool main_alive(const Ctx& ctx, index_t j) {
-  return !ctx.filter_main || !ctx.delta->main_dead(j, ctx.watermark);
+  return !ctx.filter_main ||
+         !ctx.live->delta->main_dead(j, ctx.live->watermark);
 }
 
 /// Visible (non-tombstoned) points under a node; equals node.count() on
@@ -39,30 +38,26 @@ inline bool main_alive(const Ctx& ctx, index_t j) {
 /// a removed point is absent from the visible set, not a zero contribution.
 index_t alive_count(const Ctx& ctx, const KdNode& node) {
   if (!ctx.filter_main) return node.count();
-  index_t alive = 0;
-  for (index_t j = node.begin; j < node.end; ++j)
-    alive += ctx.delta->main_dead(j, ctx.watermark) ? 0 : 1;
-  return alive;
+  return ctx.live->main_visible_count(node.begin, node.end);
 }
 
 /// Size the workspace for one query and bind the context to it. `batch`
 /// selects SoA leaf tiles (when the tree carries a mirror); a live `view`
-/// adds its delta side. filter_main stays false when the generation never
-/// tombstoned a main point, so the descent pays zero per-point cost for the
-/// insert-only workload.
+/// adds its delta side. filter_main stays false while the view sees no main
+/// tombstone, so the descent pays zero per-point cost for the insert-only
+/// workload.
 Ctx make_ctx(const CompiledPlan& plan, const KdTree& tree, const LiveView* view,
              const real_t* point, index_t leaf_capacity, bool batch, real_t tau,
              Workspace& ws) {
   Ctx ctx;
   if (view != nullptr && view->delta) {
-    ctx.delta = view->delta.get();
-    ctx.watermark = view->watermark;
-    ctx.delta_count = view->delta_count;
-    ctx.filter_main = view->filter_main;
+    ctx.live = view;
+    ctx.filter_main = view->filter_main();
   }
   const index_t dim = tree.data().dim();
   // The delta drains as one scalar range, so the buffers hold it too.
-  ws.leaf.resize(dim, std::max(leaf_capacity, ctx.delta_count));
+  ws.leaf.resize(dim, std::max(leaf_capacity,
+                               ctx.live ? ctx.live->delta_count : index_t{0}));
   if (plan.traits.is_reduction) {
     ws.knn_dists.resize(static_cast<std::size_t>(plan.traits.slots));
     ws.knn_ids.resize(static_cast<std::size_t>(plan.traits.slots));
@@ -120,8 +115,8 @@ const real_t* range_values(const Ctx& ctx, index_t begin, index_t count) {
 /// oracle drains through this too, which is what makes two-root answers
 /// bitwise-comparable at tau == 0.
 const real_t* delta_values(const Ctx& ctx) {
-  return scalar_values(ctx.ev, ctx.delta->points(), 0, ctx.delta_count,
-                       ctx.qpt, ctx.ws->leaf);
+  return scalar_values(ctx.ev, ctx.live->delta->points(), 0,
+                       ctx.live->delta_count, ctx.qpt, ctx.ws->leaf);
 }
 
 // The three rule sets below share one shape: prune_or_take applies the rule
@@ -170,9 +165,8 @@ class ReductionRules {
   void drain_delta() {
     const index_t nr = ctx_.tree->data().size();
     const real_t* vals = delta_values(ctx_);
-    for (index_t s = 0; s < ctx_.delta_count; ++s)
-      if (!ctx_.delta->slot_dead(s, ctx_.watermark))
-        list_.insert(sense_ * vals[s], nr + s);
+    for (index_t s = 0; s < ctx_.live->delta_count; ++s)
+      if (ctx_.live->slot_visible(s)) list_.insert(sense_ * vals[s], nr + s);
   }
 
   /// Slots -> original-order output through the rule core's
@@ -243,8 +237,8 @@ class SumRules {
   /// fold, so tau == 0 stays bitwise across the two roots.
   void drain_delta() {
     const real_t* vals = delta_values(ctx_);
-    for (index_t s = 0; s < ctx_.delta_count; ++s)
-      if (!ctx_.delta->slot_dead(s, ctx_.watermark)) total_ += vals[s];
+    for (index_t s = 0; s < ctx_.live->delta_count; ++s)
+      if (ctx_.live->slot_visible(s)) total_ += vals[s];
   }
 
   void finish(QueryResult* out) const { out->values = {total_}; }
@@ -293,8 +287,8 @@ class UnionRules {
   void drain_delta() {
     const index_t nr = ctx_.tree->data().size();
     const real_t* vals = delta_values(ctx_);
-    for (index_t s = 0; s < ctx_.delta_count; ++s)
-      if (vals[s] != 0 && !ctx_.delta->slot_dead(s, ctx_.watermark))
+    for (index_t s = 0; s < ctx_.live->delta_count; ++s)
+      if (vals[s] != 0 && ctx_.live->slot_visible(s))
         keep(&delta_ids_, &delta_values_, nr + s, vals[s]);
   }
 
@@ -333,7 +327,7 @@ QueryResult answer(const Ctx& ctx, bool oracle) {
     rules.fold(0, ctx.tree->data().size());
   else
     result.stats = single_traverse(*ctx.tree, rules);
-  if (ctx.delta) rules.drain_delta();
+  if (ctx.live) rules.drain_delta();
   rules.finish(&result);
   return result;
 }
@@ -392,7 +386,7 @@ QueryResult run_query_graph(const Ctx& ctx, const KnnGraph& graph,
     rules.insert(ctx.ev.metric == MetricKind::Euclidean ? std::sqrt(sq) : sq,
                  permuted);
   }
-  if (ctx.delta) rules.drain_delta();
+  if (ctx.live) rules.drain_delta();
 
   QueryResult result;
   rules.finish(&result);

@@ -135,7 +135,9 @@ void LiveStore::rebuild_view_locked() {
   view->delta = delta_;
   view->watermark = seq_;
   view->delta_count = delta_ ? delta_->count() : 0;
-  view->filter_main = delta_ && delta_->main_kill_count() > 0;
+  // Every kill in the list so far carries a seq <= seq_, and every later one
+  // a seq above it: the pinned prefix is exactly the kills this view sees.
+  view->main_kills = delta_ ? delta_->main_kill_count() : 0;
   view_ = std::move(view);
 }
 
@@ -282,6 +284,7 @@ bool LiveStore::merge_once() {
   std::shared_ptr<DeltaTree> delta;
   std::uint64_t cut = 0;
   index_t count_at_cut = 0;
+  index_t kills_at_cut = 0;
   {
     MutexLock lock(mu_);
     if (!snap_) return false;
@@ -289,8 +292,9 @@ bool LiveStore::merge_once() {
     delta = delta_;
     cut = seq_;
     count_at_cut = delta_->count();
+    kills_at_cut = delta_->main_kill_count();
   }
-  const bool any_main_kill = delta->main_kill_count() > 0;
+  const bool any_main_kill = kills_at_cut > 0;
   if (count_at_cut == 0 && !any_main_kill) {
     PORTAL_OBS_COUNT("serve/delta/merge_noops", 1);
     return false; // empty-delta no-op: no epoch churn

@@ -12,6 +12,16 @@
 // whose kill seq is 0 or > watermark, plus delta slots appended at seq <=
 // watermark and not killed at seq <= watermark.
 //
+// Main tombstones are also kept as one append-only kill list of permuted
+// indices in seq order. Its storage is reserved for main_size entries at the
+// generation's first main kill (a main index dies at most once per
+// generation), so it never moves under a reader, and a generation that never
+// removes a main point allocates none. Seqs are issued in log order under
+// the owner's mutex, so the main kills visible at a watermark are exactly
+// the list prefix that existed when the view was pinned; the view records
+// that prefix length, and counting a node's visible points costs O(min(node
+// points, visible kills)) instead of O(node points).
+//
 // Concurrency contract (the event-driven decoupling of Dekate et al., PAPERS
 // "Improving the scalability of parallel N-body applications"): all mutation
 // entry points are serialized by the owning LiveStore's mutex -- the delta
@@ -61,8 +71,12 @@ class DeltaTree {
   DeltaTree& operator=(const DeltaTree&) = delete;
 
   index_t dim() const { return points_.dim(); }
-  index_t capacity() const { return capacity_; }
-  index_t main_size() const { return main_size_; }
+  index_t capacity() const {
+    return static_cast<index_t>(insert_seq_.size());
+  }
+  index_t main_size() const {
+    return static_cast<index_t>(main_kill_seq_.size());
+  }
 
   // --- writer side: every call below must be serialized by the owning
   // --- LiveStore's mutex (the delta carries no lock of its own).
@@ -79,13 +93,16 @@ class DeltaTree {
   void kill_main(index_t permuted_index, std::uint64_t seq);
 
   /// Wholesale main-tombstone copy for compaction (the successor generation
-  /// keeps the same main tree, so kill state carries over verbatim,
-  /// preserving seqs and without re-logging).
+  /// keeps the same main tree, so kill state carries over verbatim, in kill
+  /// order, preserving seqs and without re-logging).
   void copy_main_kills(const DeltaTree& from);
 
-  /// Appended slot count. Writer-side only: readers must use the
-  /// delta_count pinned into their LiveView instead.
+  /// Appended slot count / main kill-list length. Writer-side only: readers
+  /// must use the delta_count / main_kills pinned into their LiveView.
   index_t count() const { return count_; }
+  index_t main_kill_count() const {
+    return static_cast<index_t>(main_kills_.size());
+  }
   const std::vector<Mutation>& log() const { return log_; }
 
   // --- reader side: safe from any thread against a pinned watermark.
@@ -113,22 +130,20 @@ class DeltaTree {
     return k != 0 && k <= watermark;
   }
 
-  /// Total main tombstones ever applied to this generation. Zero lets the
-  /// query engine skip per-point filtering entirely (the common
-  /// insert-mostly case pays nothing for removals it never made).
-  std::uint64_t main_kill_count() const {
-    return main_kill_count_.load(std::memory_order_relaxed);
-  }
+  /// The main kill list, in kill order. Entries [0, pinned main_kills) are
+  /// immutable and later appends never move them. Read it only through a
+  /// view with main_kills > 0: the storage is allocated by the first kill.
+  const index_t* main_kills() const { return main_kills_.data(); }
 
  private:
-  index_t capacity_ = 0;
-  index_t main_size_ = 0;
+  void append_main_kill(index_t permuted_index);
+
   index_t count_ = 0; // writer-side; readers pin a count via LiveView
   Dataset points_;    // preallocated capacity x dim slot store
   std::vector<std::uint64_t> insert_seq_;           // immutable once visible
   std::vector<std::atomic<std::uint64_t>> kill_seq_;      // 0 = alive
   std::vector<std::atomic<std::uint64_t>> main_kill_seq_; // permuted index
-  std::atomic<std::uint64_t> main_kill_count_{0};
+  std::vector<index_t> main_kills_; // main_size reserved at the first kill
   std::vector<Mutation> log_;
 };
 
@@ -142,18 +157,27 @@ struct LiveView {
   std::shared_ptr<const TreeSnapshot> snapshot;
   std::shared_ptr<const DeltaTree> delta; // null on snapshot-only views
   std::uint64_t watermark = 0;
-  index_t delta_count = 0;  // visible slots are [0, delta_count)
-  bool filter_main = false; // any main tombstone exists in this generation
+  index_t delta_count = 0; // visible slots are [0, delta_count)
+  index_t main_kills = 0;  // visible main kills are delta->main_kills()[0, n)
 
   std::uint64_t epoch() const { return snapshot ? snapshot->epoch() : 0; }
+
+  /// Does any main point need a visibility check? Zero lets the query
+  /// engine skip per-point filtering entirely (the insert-mostly case pays
+  /// nothing for removals it never made).
+  bool filter_main() const { return main_kills > 0; }
 
   /// Visibility of one delta slot / one permuted main index at this view.
   bool slot_visible(index_t slot) const {
     return slot < delta_count && !delta->slot_dead(slot, watermark);
   }
   bool main_visible(index_t permuted_index) const {
-    return !filter_main || !delta->main_dead(permuted_index, watermark);
+    return !filter_main() || !delta->main_dead(permuted_index, watermark);
   }
+
+  /// Visible main points in the permuted range [begin, end): the range size
+  /// minus the visible kills inside it, at O(min(end - begin, main_kills)).
+  index_t main_visible_count(index_t begin, index_t end) const;
 
   /// Exact visible point count (main survivors + live delta slots).
   index_t live_size() const;

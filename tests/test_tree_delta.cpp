@@ -5,9 +5,11 @@
 // LiveStore lifecycle edge cases the merge design pins -- remove-then-
 // reinsert, main-tree tombstones, delta overflow forcing a synchronous
 // merge, empty-delta no-op merges, all-dead compaction, pinned views
-// surviving a merge bitwise, and epoch monotonicity across racing merges.
-// The whole file runs in the TSan and ASan CI jobs (ctest -R
-// 'TreeDelta|LiveStore').
+// surviving a merge bitwise, and epoch monotonicity across racing merges --
+// plus the ServeTombstones wall: SUM plans' bulk node counts (AcceptAll,
+// Approximate) on views holding main tombstones, against brute force over
+// the view's visible points. The whole file runs in the TSan and ASan CI
+// jobs (ctest -R 'TreeDelta|LiveStore|ServeTombstones').
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -128,24 +130,29 @@ TEST(TreeDelta, SlotTombstoneVisibilityByWatermark) {
 
 TEST(TreeDelta, MainTombstonesAndWholesaleCopy) {
   DeltaTree delta(2, 4, 6);
-  EXPECT_EQ(delta.main_kill_count(), 0u);
-  delta.kill_main(3, 2);
-  delta.kill_main(5, 7);
-  EXPECT_EQ(delta.main_kill_count(), 2u);
-  EXPECT_TRUE(delta.main_dead(3, 2));
-  EXPECT_FALSE(delta.main_dead(3, 1));
-  EXPECT_FALSE(delta.main_dead(5, 6));
-  EXPECT_TRUE(delta.main_dead(5, 7));
+  EXPECT_EQ(delta.main_kill_count(), 0);
+  delta.kill_main(5, 2);
+  delta.kill_main(3, 7);
+  EXPECT_EQ(delta.main_kill_count(), 2);
+  // The kill list holds permuted indices in kill (seq) order.
+  EXPECT_EQ(delta.main_kills()[0], 5);
+  EXPECT_EQ(delta.main_kills()[1], 3);
+  EXPECT_TRUE(delta.main_dead(5, 2));
+  EXPECT_FALSE(delta.main_dead(5, 1));
+  EXPECT_FALSE(delta.main_dead(3, 6));
+  EXPECT_TRUE(delta.main_dead(3, 7));
   EXPECT_FALSE(delta.main_dead(0, 100));
 
   // Compaction carry-over: same main tree, kill state copied verbatim with
   // seqs preserved (watermark semantics must not shift), nothing re-logged.
   DeltaTree fresh(2, 4, 6);
   fresh.copy_main_kills(delta);
-  EXPECT_EQ(fresh.main_kill_count(), 2u);
-  EXPECT_FALSE(fresh.main_dead(3, 1));
-  EXPECT_TRUE(fresh.main_dead(3, 2));
-  EXPECT_TRUE(fresh.main_dead(5, 7));
+  EXPECT_EQ(fresh.main_kill_count(), 2);
+  EXPECT_EQ(fresh.main_kills()[0], 5);
+  EXPECT_EQ(fresh.main_kills()[1], 3);
+  EXPECT_FALSE(fresh.main_dead(5, 1));
+  EXPECT_TRUE(fresh.main_dead(5, 2));
+  EXPECT_TRUE(fresh.main_dead(3, 7));
   EXPECT_TRUE(fresh.log().empty());
 }
 
@@ -183,7 +190,7 @@ TEST(TreeDelta, LiveViewNamesTheExactPointSet) {
   view.delta = delta;
   view.watermark = 4;  // pinned before the main kill
   view.delta_count = 2; // pinned before the third append
-  view.filter_main = true;
+  view.main_kills = 0;  // pinned before the main kill
   EXPECT_EQ(view.epoch(), 1u);
   EXPECT_TRUE(view.slot_visible(0));
   EXPECT_FALSE(view.slot_visible(1)); // killed at 4 <= watermark
@@ -192,6 +199,7 @@ TEST(TreeDelta, LiveViewNamesTheExactPointSet) {
   EXPECT_EQ(view.live_size(), 20 + 1);
 
   view.watermark = 5;
+  view.main_kills = 1; // a pin at 5 sees the first kill-list entry
   EXPECT_FALSE(view.main_visible(0));
   EXPECT_EQ(view.live_size(), 19 + 1);
 }
@@ -627,6 +635,333 @@ TEST(LiveStore, PublishReplacesAndDiscardsTheDelta) {
   EXPECT_EQ(store.current_epoch(), 2u);
   EXPECT_EQ(store.pin()->live_size(), 10);
   EXPECT_EQ(store.stats().delta_count, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Tombstone-aware node counts (ServeTombstones): a SUM plan's AcceptAll and
+// Approximate nodes add the node's *visible* point count, read from the
+// view's pinned kill-list prefix. Nodes larger than the prefix subtract the
+// kills inside them; smaller ones check their points one by one.
+// ---------------------------------------------------------------------------
+
+/// Every node of the view's tree: the pinned-prefix count equals a per-point
+/// main_dead check at the view's watermark.
+void expect_node_counts_match(const LiveView& view) {
+  const KdTree& kd = *view.snapshot->kd();
+  for (index_t n = 0; n < kd.num_nodes(); ++n) {
+    const KdNode& node = kd.node(n);
+    index_t want = 0;
+    for (index_t j = node.begin; j < node.end; ++j)
+      want += view.delta->main_dead(j, view.watermark) ? 0 : 1;
+    EXPECT_EQ(view.main_visible_count(node.begin, node.end), want)
+        << "node " << n << " [" << node.begin << ", " << node.end
+        << ") at watermark " << view.watermark;
+  }
+}
+
+/// Visible points of a view, counted point by point (not through the
+/// pinned prefix).
+index_t visible_points(const LiveView& view) {
+  index_t n = 0;
+  for (index_t j = 0; j < view.snapshot->size(); ++j)
+    n += view.delta->main_dead(j, view.watermark) ? 0 : 1;
+  for (index_t s = 0; s < view.delta_count; ++s)
+    n += view.slot_visible(s) ? 1 : 0;
+  return n;
+}
+
+/// One query of a SUM plan against the view's brute force: counts exact
+/// (tau does not touch an indicator), smooth sums within tau per visible
+/// point.
+void expect_sum_matches(const PlanHandle& plan, const LiveView& view,
+                        const real_t* point, real_t tau, Workspace& ws) {
+  EngineOptions eopt;
+  eopt.tau = tau;
+  const QueryResult got = run_query(*plan, view, point, eopt, ws);
+  const QueryResult want = run_query_bruteforce(*plan, view, point);
+  ASSERT_EQ(got.values.size(), 1u);
+  ASSERT_EQ(want.values.size(), 1u);
+  if (tau == 0) {
+    EXPECT_EQ(got.values[0], want.values[0]);
+  } else {
+    EXPECT_LE(std::abs(got.values[0] - want.values[0]),
+              tau * static_cast<real_t>(visible_points(view)))
+        << "got " << got.values[0] << " want " << want.values[0];
+  }
+}
+
+LiveStoreOptions tombstone_store(bool background) {
+  LiveStoreOptions options = small_store(64, 64, background);
+  options.snapshot.leaf_size = 8;
+  return options;
+}
+
+constexpr real_t kCountRadii[] = {0.05, 0.15, 0.3, 0.6, 4.0};
+constexpr real_t kKdeTau = 1e-3;
+
+TEST(ServeTombstones, SumPlansCountOnlyVisiblePoints) {
+  const Dataset reference = make_uniform(640, 2, 31);
+  LiveStore store(tombstone_store(false));
+  store.publish(std::make_shared<const Dataset>(reference));
+  // 40 kills spread over the square: every leaf (8 points) is smaller than
+  // the prefix and the upper levels are larger, so both counting branches
+  // run wherever a node is accepted or approximated.
+  for (index_t i = 0; i < reference.size(); i += 16) {
+    const auto pt = point_of(reference, i);
+    ASSERT_EQ(store.remove(pt.data(), 2).status, IngestStatus::Ok);
+  }
+  const real_t extra[] = {0.5, 0.5};
+  ASSERT_EQ(store.insert(extra, 2).status, IngestStatus::Ok);
+  const auto view = store.pin();
+  ASSERT_EQ(view->main_kills, 40);
+  EXPECT_EQ(view->live_size(), visible_points(*view));
+  EXPECT_EQ(view->live_size(), 640 - 40 + 1);
+
+  const KdTree& kd = *view->snapshot->kd();
+  index_t above = 0, below = 0;
+  for (index_t n = 0; n < kd.num_nodes(); ++n)
+    (kd.node(n).count() > view->main_kills ? above : below) += 1;
+  ASSERT_GT(above, 0);
+  ASSERT_GT(below, 0);
+  expect_node_counts_match(*view);
+
+  std::vector<PlanHandle> counts;
+  for (const real_t h : kCountRadii)
+    counts.push_back(
+        compile(chain(PortalOp::SUM, PortalFunc::indicator(0, h)), reference));
+  const auto kde =
+      compile(chain(PortalOp::SUM, PortalFunc::gaussian(0.4)), reference);
+
+  Workspace ws;
+  const Dataset probes = make_uniform(24, 2, 32);
+  for (index_t i = 0; i < probes.size(); ++i) {
+    const auto pt = point_of(probes, i);
+    for (const PlanHandle& count : counts)
+      expect_sum_matches(count, *view, pt.data(), 0, ws);
+    expect_sum_matches(kde, *view, pt.data(), kKdeTau, ws);
+    expect_sum_matches(kde, *view, pt.data(), 0, ws);
+  }
+  // From outside the unit square, the widest radius accepts the root: the
+  // count is the view's exact visible size, every kill subtracted.
+  const real_t outside[] = {-1.0, -1.0};
+  const QueryResult all =
+      run_query(*counts.back(), *view, outside, EngineOptions{}, ws);
+  EXPECT_EQ(all.values[0], static_cast<real_t>(640 - 40 + 1));
+}
+
+TEST(ServeTombstones, ViewPinnedBeforeRemovesStillCountsThemAlive) {
+  const Dataset reference = make_uniform(400, 2, 33);
+  LiveStore store(tombstone_store(false));
+  store.publish(std::make_shared<const Dataset>(reference));
+  for (index_t i = 0; i < 12; ++i) {
+    const auto pt = point_of(reference, 7 * i);
+    ASSERT_EQ(store.remove(pt.data(), 2).status, IngestStatus::Ok);
+  }
+  const auto pinned = store.pin();
+  ASSERT_EQ(pinned->main_kills, 12);
+
+  const auto count = compile(
+      chain(PortalOp::SUM, PortalFunc::indicator(0, 0.35)), reference);
+  // Accepts the whole tree from the outside probe below.
+  const auto everything =
+      compile(chain(PortalOp::SUM, PortalFunc::indicator(0, 4.0)), reference);
+  const auto kde =
+      compile(chain(PortalOp::SUM, PortalFunc::gaussian(0.3)), reference);
+  EngineOptions approx;
+  approx.tau = kKdeTau;
+  Workspace ws;
+  const Dataset probes = make_uniform(16, 2, 34);
+  std::vector<QueryResult> before;
+  for (index_t i = 0; i < probes.size(); ++i) {
+    const auto pt = point_of(probes, i);
+    before.push_back(run_query(*count, *pinned, pt.data(), EngineOptions{}, ws));
+    before.push_back(run_query(*kde, *pinned, pt.data(), approx, ws));
+  }
+
+  // 30 more removes, all after the pin: the pinned view must keep counting
+  // those points as alive.
+  for (index_t i = 0; i < 30; ++i) {
+    const auto pt = point_of(reference, 7 * i + 3);
+    ASSERT_EQ(store.remove(pt.data(), 2).status, IngestStatus::Ok);
+  }
+  EXPECT_EQ(pinned->main_kills, 12);
+  EXPECT_EQ(pinned->live_size(), 400 - 12);
+  EXPECT_EQ(pinned->live_size(), visible_points(*pinned));
+  expect_node_counts_match(*pinned);
+  const real_t probe[] = {-1.0, -1.0};
+  EXPECT_EQ(run_query(*everything, *pinned, probe, EngineOptions{}, ws)
+                .values[0],
+            static_cast<real_t>(400 - 12));
+
+  std::size_t b = 0;
+  for (index_t i = 0; i < probes.size(); ++i) {
+    const auto pt = point_of(probes, i);
+    expect_bitwise(run_query(*count, *pinned, pt.data(), EngineOptions{}, ws),
+                   before[b++]);
+    expect_bitwise(run_query(*kde, *pinned, pt.data(), approx, ws),
+                   before[b++]);
+    expect_sum_matches(count, *pinned, pt.data(), 0, ws);
+    expect_sum_matches(kde, *pinned, pt.data(), kKdeTau, ws);
+  }
+
+  // The fresh pin sees all 42 kills.
+  const auto now = store.pin();
+  EXPECT_EQ(now->main_kills, 42);
+  expect_node_counts_match(*now);
+  EXPECT_EQ(run_query(*everything, *now, probe, EngineOptions{}, ws).values[0],
+            static_cast<real_t>(400 - 42));
+  for (index_t i = 0; i < probes.size(); ++i) {
+    const auto pt = point_of(probes, i);
+    expect_sum_matches(count, *now, pt.data(), 0, ws);
+    expect_sum_matches(kde, *now, pt.data(), kKdeTau, ws);
+  }
+}
+
+TEST(ServeTombstones, NodeCountsMatchMainDeadAfterMergeAndCompaction) {
+  const Dataset reference = make_uniform(300, 2, 35);
+  LiveStore store(tombstone_store(false));
+  store.publish(std::make_shared<const Dataset>(reference));
+  const Dataset extra = make_uniform(20, 2, 36);
+  for (index_t i = 0; i < extra.size(); ++i) {
+    const auto pt = point_of(extra, i);
+    ASSERT_EQ(store.insert(pt.data(), 2).status, IngestStatus::Ok);
+  }
+  for (index_t i = 0; i < 25; ++i) {
+    const auto pt = point_of(reference, 11 * i);
+    ASSERT_EQ(store.remove(pt.data(), 2).status, IngestStatus::Ok);
+  }
+  const auto before_merge = store.pin();
+  expect_node_counts_match(*before_merge);
+
+  // A merge folds the kills into the new tree: an empty kill list...
+  ASSERT_TRUE(store.merge_now());
+  const auto merged = store.pin();
+  EXPECT_EQ(merged->main_kills, 0);
+  expect_node_counts_match(*merged);
+  EXPECT_EQ(merged->live_size(), 300 - 25 + 20);
+
+  // ...which the next removes (of main and of merged delta points) refill.
+  for (index_t i = 0; i < extra.size(); i += 2) {
+    const auto pt = point_of(extra, i);
+    ASSERT_EQ(store.remove(pt.data(), 2).status, IngestStatus::Ok);
+  }
+  for (index_t i = 0; i < 15; ++i) {
+    const auto pt = point_of(reference, 11 * i + 5);
+    ASSERT_EQ(store.remove(pt.data(), 2).status, IngestStatus::Ok);
+  }
+  const auto after = store.pin();
+  EXPECT_EQ(after->main_kills, 25);
+  EXPECT_EQ(after->live_size(), visible_points(*after));
+  expect_node_counts_match(*after);
+  // The pre-merge view still names its own generation's kills.
+  expect_node_counts_match(*before_merge);
+
+  // All-dead compaction: the copied kill list keeps every node at zero.
+  const Dataset tiny = make_uniform(24, 2, 37);
+  store.publish(std::make_shared<const Dataset>(tiny));
+  for (index_t i = 0; i < tiny.size(); ++i) {
+    const auto pt = point_of(tiny, i);
+    ASSERT_EQ(store.remove(pt.data(), 2).status, IngestStatus::Ok);
+  }
+  const real_t p[] = {5.0, 5.0};
+  ASSERT_EQ(store.insert(p, 2).status, IngestStatus::Ok);
+  ASSERT_EQ(store.remove(p, 2).status, IngestStatus::Ok);
+  const std::uint64_t compactions = store.stats().compactions;
+  ASSERT_TRUE(store.merge_now());
+  EXPECT_EQ(store.stats().compactions, compactions + 1);
+  const auto compacted = store.pin();
+  EXPECT_EQ(compacted->main_kills, 24);
+  EXPECT_EQ(compacted->live_size(), 0);
+  expect_node_counts_match(*compacted);
+  ASSERT_EQ(store.insert(p, 2).status, IngestStatus::Ok);
+  const auto refilled = store.pin();
+  EXPECT_EQ(refilled->live_size(), 1);
+  expect_node_counts_match(*refilled);
+  const auto count = compile(
+      chain(PortalOp::SUM, PortalFunc::indicator(0, 20.0)), tiny);
+  Workspace ws;
+  expect_sum_matches(count, *refilled, p, 0, ws);
+}
+
+TEST(ServeTombstones, ReadersSumOnPinnedViewsWhileAWriterRemoves) {
+  // One writer removes main points (and inserts, so the background merger
+  // publishes new generations mid-run, replaying kills that land in the
+  // merge window); readers pin views and check SUM plans against the brute
+  // force over each view's visible points. A reader reads only the kill
+  // list's pinned prefix while the writer appends past it. The writer waits
+  // for a read after each remove, so the views see every kill count.
+  const Dataset reference = make_uniform(500, 2, 38);
+  LiveStoreOptions options = tombstone_store(/*background=*/true);
+  options.merge_threshold = 16;
+  LiveStore store(options);
+  store.publish(std::make_shared<const Dataset>(reference));
+  const auto count = compile(
+      chain(PortalOp::SUM, PortalFunc::indicator(0, 0.3)), reference);
+  const auto kde =
+      compile(chain(PortalOp::SUM, PortalFunc::gaussian(0.3)), reference);
+
+  std::atomic<bool> done{false};
+  std::atomic<int> reads{0};
+  std::atomic<int> write_failures{0};
+  std::thread writer([&] {
+    const Dataset stream = make_uniform(60, 2, 39);
+    for (index_t i = 0; i < 150; ++i) {
+      const int seen = reads.load(std::memory_order_acquire);
+      const auto pt = point_of(reference, 3 * i);
+      if (store.remove(pt.data(), 2).status != IngestStatus::Ok)
+        write_failures.fetch_add(1);
+      if (i % 5 == 0) {
+        const auto ins = point_of(stream, i / 5);
+        if (store.insert(ins.data(), 2).status != IngestStatus::Ok)
+          write_failures.fetch_add(1);
+      }
+      while (reads.load(std::memory_order_acquire) == seen)
+        std::this_thread::yield();
+    }
+    done.store(true, std::memory_order_release);
+  });
+
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&, r] {
+      Workspace ws;
+      EngineOptions approx;
+      approx.tau = kKdeTau;
+      const Dataset probes = make_uniform(12, 2, 40 + r);
+      for (index_t p = 0; !done.load(std::memory_order_acquire); ++p) {
+        const auto view = store.pin();
+        const auto pt = point_of(probes, p % probes.size());
+        const QueryResult got_count =
+            run_query(*count, *view, pt.data(), EngineOptions{}, ws);
+        if (got_count.values[0] !=
+            run_query_bruteforce(*count, *view, pt.data()).values[0])
+          mismatches.fetch_add(1);
+        const real_t got_kde =
+            run_query(*kde, *view, pt.data(), approx, ws).values[0];
+        const real_t want_kde =
+            run_query_bruteforce(*kde, *view, pt.data()).values[0];
+        if (std::abs(got_kde - want_kde) >
+            kKdeTau * static_cast<real_t>(visible_points(*view)))
+          mismatches.fetch_add(1);
+        reads.fetch_add(1, std::memory_order_release);
+      }
+    });
+  }
+  writer.join();
+  for (std::thread& r : readers) r.join();
+  store.stop();
+
+  EXPECT_EQ(write_failures.load(), 0);
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_GE(reads.load(), 150);
+  // A final merge folds every kill into a fresh epoch.
+  store.merge_now();
+  EXPECT_GE(store.stats().merges, 1u);
+  const auto last = store.pin();
+  EXPECT_EQ(last->live_size(), 500 - 150 + 30);
+  EXPECT_EQ(last->live_size(), visible_points(*last));
+  expect_node_counts_match(*last);
 }
 
 } // namespace
