@@ -278,62 +278,47 @@ bool LiveStore::merge_now() { return merge_once(); }
 bool LiveStore::merge_once() {
   MutexLock merge_lock(merge_mutex_);
 
-  // Phase 1 -- cut: pin the generation and the watermark. Everything at or
-  // below the cut is merged; everything above it is replayed afterwards.
-  std::shared_ptr<const TreeSnapshot> snap;
-  std::shared_ptr<DeltaTree> delta;
-  std::uint64_t cut = 0;
-  index_t count_at_cut = 0;
-  index_t kills_at_cut = 0;
+  // Phase 1 -- cut: pin the current view (rebuilt under the store mutex on
+  // every mutation, so it is the generation and watermark at the cut).
+  // Everything at or below the cut is merged; everything above it is
+  // replayed afterwards.
+  std::shared_ptr<const LiveView> at_cut;
   {
     MutexLock lock(mu_);
     if (!snap_) return false;
-    snap = snap_;
-    delta = delta_;
-    cut = seq_;
-    count_at_cut = delta_->count();
-    kills_at_cut = delta_->main_kill_count();
+    at_cut = view_;
   }
-  const bool any_main_kill = kills_at_cut > 0;
-  if (count_at_cut == 0 && !any_main_kill) {
+  const std::uint64_t cut = at_cut->watermark;
+  const index_t count_at_cut = at_cut->delta_count;
+  if (count_at_cut == 0 && !at_cut->filter_main()) {
     PORTAL_OBS_COUNT("serve/delta/merge_noops", 1);
     return false; // empty-delta no-op: no epoch churn
   }
-  const KdTree* kd = snap->kd().get();
+  const KdTree* kd = at_cut->snapshot->kd().get();
   if (!kd) return false; // serving snapshots always carry one
+  const DeltaTree& delta = *at_cut->delta;
 
   const index_t nmain = kd->data().size();
   const index_t dim = kd->data().dim();
 
   // Phase 2 -- gather the visible union at the cut, lock-free: the pinned
-  // generation's slots and kill seqs at or below the cut are immutable.
-  // The main side is sharded by the kd top-level splits; each shard is a
-  // contiguous permuted range copied (and counted) independently.
+  // generation's slots, kill seqs and kill-list prefix are immutable. The
+  // main side is sharded by the kd top-level splits; each shard is a
+  // contiguous permuted range, counted from the kill prefix and copied
+  // independently.
   const std::vector<std::pair<index_t, index_t>> shards =
       top_level_ranges(*kd);
   const std::ptrdiff_t ns = static_cast<std::ptrdiff_t>(shards.size());
   std::vector<index_t> offsets(shards.size() + 1, 0);
-  if (any_main_kill) {
-#pragma omp parallel for schedule(dynamic)
-    for (std::ptrdiff_t s = 0; s < ns; ++s) {
-      index_t alive = 0;
-      for (index_t j = shards[static_cast<std::size_t>(s)].first;
-           j < shards[static_cast<std::size_t>(s)].second; ++j)
-        alive += delta->main_dead(j, cut) ? 0 : 1;
-      offsets[static_cast<std::size_t>(s) + 1] = alive;
-    }
-    for (std::size_t s = 0; s < shards.size(); ++s)
-      offsets[s + 1] += offsets[s];
-  } else {
-    for (std::size_t s = 0; s < shards.size(); ++s)
-      offsets[s + 1] = offsets[s] + (shards[s].second - shards[s].first);
-  }
+  for (std::size_t s = 0; s < shards.size(); ++s)
+    offsets[s + 1] = offsets[s] + at_cut->main_visible_count(
+                                      shards[s].first, shards[s].second);
   const index_t main_alive = offsets.back();
 
   std::vector<index_t> live_slots;
   live_slots.reserve(static_cast<std::size_t>(count_at_cut));
   for (index_t s = 0; s < count_at_cut; ++s)
-    if (!delta->slot_dead(s, cut)) live_slots.push_back(s);
+    if (at_cut->slot_visible(s)) live_slots.push_back(s);
 
   const index_t total = main_alive + static_cast<index_t>(live_slots.size());
   if (total == 0) {
@@ -361,7 +346,7 @@ bool LiveStore::merge_once() {
     index_t pos = offsets[static_cast<std::size_t>(s)];
     for (index_t j = shards[static_cast<std::size_t>(s)].first;
          j < shards[static_cast<std::size_t>(s)].second; ++j) {
-      if (any_main_kill && delta->main_dead(j, cut)) continue;
+      if (!at_cut->main_visible(j)) continue;
       for (index_t d = 0; d < dim; ++d)
         union_data->coord(pos, d) = kd->data().coord(j, d);
       main_to_new[static_cast<std::size_t>(j)] = pos;
@@ -374,7 +359,7 @@ bool LiveStore::merge_once() {
     const index_t slot = live_slots[i];
     const index_t pos = main_alive + static_cast<index_t>(i);
     for (index_t d = 0; d < dim; ++d)
-      union_data->coord(pos, d) = delta->points().coord(slot, d);
+      union_data->coord(pos, d) = delta.points().coord(slot, d);
     delta_to_new[static_cast<std::size_t>(slot)] = pos;
   }
 
